@@ -9,6 +9,7 @@ stdout, diagnostics to stderr. Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,12 +32,15 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _parse_floats(text: str, expected: int, label: str) -> np.ndarray:
+def _parse_floats(text: str, label: str, expected: int = None) -> np.ndarray:
+    """Comma-separated finite numbers; `expected` fixes their count."""
     try:
         vals = np.array([float(x) for x in text.split(",")])
     except ValueError as exc:
         raise ValidationError(f"{label}: could not parse '{text}'") from exc
-    if len(vals) != expected:
+    if not np.isfinite(vals).all():
+        raise ValidationError(f"{label}: values must be finite, got '{text}'")
+    if expected is not None and len(vals) != expected:
         raise ValidationError(f"{label}: expected {expected} numbers, got {len(vals)}")
     return vals
 
@@ -56,17 +60,6 @@ def resolve_model(name_or_path: str) -> robot_mod.RobotModel:
                               f"${MODEL_PATH_VAR}, and bundled models)")
 
 
-def _parse_hessian(text: str, frame: Frame) -> st.TaskStiffness:
-    vals = [float(x) for x in text.split(",")]
-    if len(vals) == 6:
-        h = np.diag(vals)
-    elif len(vals) == 36:
-        h = np.array(vals).reshape(6, 6)
-    else:
-        raise ValidationError(f"--hessian takes 6 or 36 numbers, got {len(vals)}")
-    return st.TaskStiffness(h, frame)
-
-
 def _cmd_model_validate(args) -> int:
     model = resolve_model(args.file)
     _emit({
@@ -81,10 +74,10 @@ def _cmd_model_validate(args) -> int:
 def _cmd_stiffness(args) -> int:
     frame = Frame.parse(args.frame)
     model = resolve_model(args.model)
-    q = _parse_floats(args.q, model.n, "--q")
-    wrench = _parse_floats(args.wrench, 6, "--wrench")
+    q = _parse_floats(args.q, "--q", model.n)
+    wrench = _parse_floats(args.wrench, "--wrench", 6)
     if args.hessian is not None:
-        hessian = _parse_hessian(args.hessian, frame)
+        hessian = st.TaskStiffness.from_numbers(_parse_floats(args.hessian, "--hessian"), frame)
     else:
         hessian = st.TaskStiffness(np.zeros((6, 6)), frame)
     result = st.joint_stiffness(model, q, hessian, wrench, frame,
@@ -112,15 +105,18 @@ def _cmd_stiffness(args) -> int:
 
 
 def _cmd_passivity(args) -> int:
-    if Path(args.matrix).exists():
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        try:
-            doc = json.loads(args.matrix)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"--matrix: not a file or valid JSON: {exc}")
-    audit = pv.audit_stiffness(np.asarray(doc, dtype=float))
+    text = args.matrix
+    # os.path.isfile returns False, where Path.exists raises, for an inline
+    # matrix longer than a file name may be
+    if os.path.isfile(text):
+        with open(text, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        doc = json.loads(text)
+        k = np.asarray(doc, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"--matrix: not a file or a numeric JSON matrix: {exc}") from exc
+    audit = pv.audit_stiffness(k)
     _emit({
         "inputs_echo": {"matrix": doc},
         "net_work": audit.net_work,
@@ -132,7 +128,7 @@ def _cmd_passivity(args) -> int:
 def _cmd_example_anthro(args) -> int:
     model = robot_mod.bundled_model("anthro3r")
     q1 = args.q1
-    m = _parse_floats(args.m, 3, "--m")
+    m = _parse_floats(args.m, "--m", 3)
     q = np.array([q1, 0.0, 0.0])
     wrench = np.concatenate([np.zeros(3), m])
     k_kin = st.kinematic_stiffness(model, q, wrench, Frame.HYBRID)
@@ -163,15 +159,8 @@ def _load_sim_config(path: str) -> sim_mod.ControllerConfig:
     if missing:
         raise SchemaError(f"config: missing keys {sorted(missing)}")
     frame = Frame.parse(doc["frame"])
-    vals = np.asarray(doc["task_hessian"], dtype=float).ravel()
-    if vals.size == 6:
-        h = np.diag(vals)
-    elif vals.size == 36:
-        h = vals.reshape(6, 6)
-    else:
-        raise SchemaError("task_hessian takes 6 or 36 numbers")
     return sim_mod.ControllerConfig(
-        task_hessian=st.TaskStiffness(h, frame),
+        task_hessian=st.TaskStiffness.from_numbers(doc["task_hessian"], frame),
         damping_ratio=float(doc["damping_ratio"]),
         frame=frame,
         with_correction=bool(doc["with_correction"]),
@@ -274,9 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GeostiffError as exc:

@@ -37,6 +37,10 @@ class NotSquare(GeostiffError):
     """A square matrix was expected."""
 
 
+class NonFinite(GeostiffError):
+    """An input holds NaN or infinite values."""
+
+
 class NonPositiveDefinite(GeostiffError):
     """A matrix that must be positive definite is not."""
 

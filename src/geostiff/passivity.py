@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSquare, OpenPath
+from .errors import DimensionMismatch, NonFinite, NotSquare, OpenPath
 
 PASSIVE_TOLERANCE = 1e-9  # J, for the default unit-scale loop
 
@@ -92,15 +92,28 @@ def loop_work(k, path: LoopPath, tolerance: float = PASSIVE_TOLERANCE) -> Energy
 
 def audit_stiffness(k, radius: float = 1.0, segments: int = 3600,
                     tolerance: float = PASSIVE_TOLERANCE) -> EnergyAudit:
-    """Worst-case loop work over unit circles in every coordinate plane."""
+    """Worst-case loop work over circles in every coordinate plane.
+
+    Each plane (i, j), i < j, is audited on the same counterclockwise
+    regular polygon that circle_path(d, (i, j), radius, segments) walks.
+    By Green's theorem the work of F = K x around it is
+
+        W_ij = A_poly * (K_ji - K_ij),   A_poly = (N/2) r^2 sin(2 pi / N),
+
+    which is what loop_work's trapezoid sum computes exactly, up to
+    rounding, since only the antisymmetric part of K does work around a
+    closed loop.  The reported net_work is the first W_ij of largest
+    magnitude in row-major plane order.  loop_work over circle_path stays
+    the general-path oracle.  Non-finite entries raise NonFinite.
+    """
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise NotSquare(f"expected square matrix, got shape {k.shape}")
-    d = k.shape[0]
-    worst = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            audit = loop_work(k, circle_path(d, (i, j), radius, segments), tolerance)
-            if abs(audit.net_work) > abs(worst):
-                worst = audit.net_work
+    if not np.isfinite(k).all():
+        raise NonFinite("stiffness matrix has non-finite entries")
+    if segments < 3:
+        raise OpenPath("need at least 3 segments")
+    area = 0.5 * segments * radius * radius * np.sin(2.0 * np.pi / segments)
+    work = area * np.triu(k.T - k, 1)
+    worst = float(work.flat[np.argmax(np.abs(work))]) if k.size else 0.0
     return EnergyAudit(worst, None, abs(worst) <= tolerance)

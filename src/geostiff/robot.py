@@ -12,6 +12,7 @@ inertia) is expressed in the frame of joint i after motion.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import weakref
@@ -88,20 +89,28 @@ def _pose_from_doc(doc, path: str) -> se3.Transform:
         raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
     try:
         rot = np.asarray(doc["rotation"], dtype=float).reshape(3, 3)
-        trans = np.asarray(doc["translation"], dtype=float).reshape(3)
+        trans = np.array(doc["translation"], dtype=float).reshape(3)
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     t = se3.Transform(rot, trans)
     if t.orthogonality_defect() > 1e-9 or np.linalg.det(rot) < 0:
         raise ValidationError(f"{path}.rotation: not a proper rotation matrix")
-    return t.renormalized()
+    t = t.renormalized()
+    _read_only(t.rotation, t.translation)
+    return t
+
+
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.setflags(write=False)
 
 
 def load_model(document) -> RobotModel:
     """Build a RobotModel from a JSON string or an already-parsed dict.
 
     Raises SchemaError for structural problems and ValidationError for
-    documents that parse but violate a model invariant.
+    documents that parse but violate a model invariant.  Every array of the
+    model is a read-only copy, so a model can be shared between callers.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -130,7 +139,7 @@ def load_model(document) -> RobotModel:
         if unknown:
             raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
         try:
-            axis = np.asarray(jd["axis"], dtype=float).reshape(6)
+            axis = np.array(jd["axis"], dtype=float).reshape(6)
             kind = jd["kind"]
             home = _pose_from_doc(jd["home"], f"{path}.home")
             lo, hi = (float(x) for x in jd["limits"])
@@ -148,6 +157,7 @@ def load_model(document) -> RobotModel:
             raise ValidationError(f"{path}.axis: revolute axis must have unit angular part")
         if not lo <= hi:
             raise ValidationError(f"{path}.limits: lower bound exceeds upper bound")
+        _read_only(axis)
         joints.append(Joint(axis, kind, home, lo, hi))
 
     links = []
@@ -162,8 +172,8 @@ def load_model(document) -> RobotModel:
             raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
         try:
             mass = float(ld["mass"])
-            com = np.asarray(ld["com"], dtype=float).reshape(3)
-            inertia = np.asarray(ld["inertia"], dtype=float).reshape(3, 3)
+            com = np.array(ld["com"], dtype=float).reshape(3)
+            inertia = np.array(ld["inertia"], dtype=float).reshape(3, 3)
         except (KeyError, ValueError, TypeError) as exc:
             raise SchemaError(f"{path}: {exc}") from exc
         if mass < 0:
@@ -172,6 +182,7 @@ def load_model(document) -> RobotModel:
             raise ValidationError(f"{path}.inertia: must be symmetric")
         if np.min(np.linalg.eigvalsh(0.5 * (inertia + inertia.T))) < -1e-12:
             raise ValidationError(f"{path}.inertia: must be positive semidefinite")
+        _read_only(com, inertia)
         links.append(Link(mass, com, inertia))
 
     ee = _pose_from_doc(doc["end_effector"], "end_effector")
@@ -186,8 +197,13 @@ def load_model_file(path) -> RobotModel:
         return load_model(fh.read())
 
 
+@functools.cache
 def bundled_model(name: str) -> RobotModel:
-    """Load one of the models shipped with the package ('anthro3r', 'iiwa7')."""
+    """One of the models shipped with the package ('anthro3r', 'iiwa7').
+
+    The package data is immutable, so each model is loaded once per process
+    and every call returns the same read-only RobotModel.
+    """
     res = importlib.resources.files("geostiff.models").joinpath(f"{name}.json")
     return load_model(res.read_text(encoding="utf-8"))
 

@@ -34,6 +34,17 @@ class TaskStiffness:
         object.__setattr__(self, "hessian", h)
 
     @staticmethod
+    def from_numbers(values, frame: Frame) -> "TaskStiffness":
+        """Spring from 6 numbers (the diagonal) or 36 (the matrix, row-major)."""
+        v = np.asarray(values, dtype=float).ravel()
+        if v.size == 6:
+            return TaskStiffness(np.diag(v), frame)
+        if v.size == 36:
+            return TaskStiffness(v.reshape(6, 6), frame)
+        raise DimensionMismatch(
+            f"task stiffness takes 6 (diagonal) or 36 numbers, got {v.size}")
+
+    @staticmethod
     def diagonal(k_translation: float, k_rotation: float, frame: Frame) -> "TaskStiffness":
         """Block-diagonal spring diag(k_t I3, k_r I3)."""
         h = np.diag([k_translation] * 3 + [k_rotation] * 3).astype(float)

@@ -142,6 +142,80 @@ class TestPassivity:
         assert code == 1
 
 
+class TestBoundaries:
+    Q7 = "--q=0,0.5,0,-1.2,0,0.8,0"
+    W = "--wrench=0,0,10,0,0,2"
+
+    @pytest.mark.parametrize("argv", [
+        ["passivity", "--matrix", "[[NaN,1],[0,1]]"],
+        ["passivity", "--matrix", "[[1,2],[Infinity,1]]"],
+        ["passivity", "--matrix", "[[1,2],[3]]"],
+        ["passivity", "--matrix", '[["a","b"],["c","d"]]'],
+        ["passivity", "--matrix", '{"k": 1}'],
+        ["passivity", "--matrix", "[[1,2,3],[4,5,6]]"],
+        ["stiffness", "--model", "iiwa7", Q7, W, "--hessian=1,2,x,4,5,6", "compute"],
+        ["stiffness", "--model", "iiwa7", Q7, W, "--hessian=1,2,3", "compute"],
+        ["stiffness", "--model", "iiwa7", "--q=nan,0,0,0,0,0,0", W, "compute"],
+        ["stiffness", "--model", "iiwa7", Q7, "--wrench=0,0,inf,0,0,0", "audit"],
+        ["example", "anthro", "--m=1,nan,0"],
+    ])
+    def test_malformed_input_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_malformed_matrix_file_exits_1(self, capsys, tmp_path):
+        file = tmp_path / "k.json"
+        file.write_text("[[1,2],[3]]", encoding="utf-8")
+        code, _, err = run_cli(capsys, "passivity", "--matrix", str(file))
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_long_inline_matrix(self, capsys, rng):
+        b = rng.normal(scale=100.0, size=(7, 7))
+        text = json.dumps((b + b.T).tolist())
+        assert len(text) > 255      # longer than any file name
+        payload = run_json(capsys, "passivity", "--matrix", text)
+        assert payload["passive"] is True
+        assert payload["inputs_echo"]["matrix"] == json.loads(text)
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["stiffness", "--model", "anthro3r", "--q=0.1,0.2,0.3", "--wrench=0,0,0,1,0,0",
+         "--frame", "hybrid", "--no-correction", "audit"],
+        ["stiffness", "--model", "anthro3r", "--q=0.1,0.2,0.3", "--wrench=0,0,0,1,0,0",
+         "--frame", "hybrid", "audit"],
+        ["example", "anthro", "--q1=0.4", "--m=1,2,0"],
+        ["example", "anthro"],
+        ["stiffness", "--model", "iiwa7", "--q=0,0.5,0,-1.2,0,0.8,0",
+         "--wrench=1,2,3,4,5,6", "--hessian=400,400,400,20,20,20", "compute"],
+        ["stiffness", "--model", "iiwa7", "--q=0,0.5,0,-1.2,0,0.8,0",
+         "--wrench=1,2,3,4,5,6", "compute"],
+        ["passivity", "--matrix", "[[0,1],[-1,0]]"],
+        ["model", "validate", "iiwa7"],
+    ]
+
+    def test_build_parser_returns_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_alternating_calls_match_fresh_parser(self, capsys):
+        for argv in self.ARGVS * 2:
+            code, out, err = run_cli(capsys, *argv)
+            args = cli.build_parser().parse_args(argv)
+            assert args.func(args) == code == 0
+            assert out == capsys.readouterr().out
+
+    def test_no_correction_does_not_carry_over(self, capsys):
+        first = run_json(capsys, *self.ARGVS[0])
+        second = run_json(capsys, *self.ARGVS[1])
+        assert first["inputs_echo"]["with_correction"] is False
+        assert second["inputs_echo"]["with_correction"] is True
+        assert first["passive"] is False and second["passive"] is True
+
+
 class TestSimulate:
     @pytest.fixture
     def sim_files(self, tmp_path):

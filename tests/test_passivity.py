@@ -6,9 +6,21 @@ import pytest
 from geostiff import passivity as pv
 from geostiff import robot, stiffness as st
 from geostiff.connection import Frame
-from geostiff.errors import DimensionMismatch, NotSquare, OpenPath
+from geostiff.errors import DimensionMismatch, NonFinite, NotSquare, OpenPath
 
 ROTATION_GENERATOR = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def loop_audit(k, radius, segments):
+    """Worst plane by quadrature: loop_work over every coordinate circle."""
+    d = k.shape[0]
+    worst, plane = 0.0, None
+    for i in range(d):
+        for j in range(i + 1, d):
+            work = pv.loop_work(k, pv.circle_path(d, (i, j), radius, segments)).net_work
+            if abs(work) > abs(worst):
+                worst, plane = work, (i, j)
+    return worst, plane
 
 
 class TestLoopPath:
@@ -128,3 +140,41 @@ class TestAuditStiffness:
         assert not audit.passive
         # closed form: (K21 - K12) * pi with K21 = 2A = 1, K12 = 0, A = 1/2
         assert abs(audit.net_work) == pytest.approx(np.pi, abs=1e-3)
+
+    @pytest.mark.parametrize("segments", [4, 7, 100, 3600])
+    @pytest.mark.parametrize("radius", [0.3, 1.0, 2.0])
+    def test_closed_form_matches_loop_oracle(self, rng, radius, segments):
+        for d in range(2, 8):
+            k = rng.normal(scale=100.0, size=(d, d))
+            expected, (i, j) = loop_audit(k, radius, segments)
+            audit = pv.audit_stiffness(k, radius=radius, segments=segments)
+            assert audit.net_work == pytest.approx(expected, rel=1e-12, abs=0.0)
+            # the same worst plane, with the same sign
+            area = 0.5 * segments * radius ** 2 * np.sin(2 * np.pi / segments)
+            assert audit.net_work == pytest.approx(area * (k[j, i] - k[i, j]), rel=1e-14)
+
+    def test_symmetric_gives_exactly_zero(self, rng):
+        for d in range(1, 8):
+            a = rng.normal(size=(d, d))
+            audit = pv.audit_stiffness(a + a.T)
+            assert audit.net_work == 0.0
+            assert audit.passive
+
+    def test_tie_picks_first_plane(self):
+        k = np.zeros((3, 3))
+        k[0, 2], k[1, 2] = 1.0, -1.0    # planes (0, 2) and (1, 2) tie in magnitude
+        expected, plane = loop_audit(k, 1.0, 3600)
+        work = pv.audit_stiffness(k).net_work
+        assert plane == (0, 2)
+        assert work < 0 and work == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        k = np.eye(3)
+        k[0, 1] = bad
+        with pytest.raises(NonFinite):
+            pv.audit_stiffness(k)
+
+    def test_too_few_segments_rejected(self):
+        with pytest.raises(OpenPath):
+            pv.audit_stiffness(np.eye(2), segments=2)

@@ -120,6 +120,25 @@ class TestLoadModel:
         model = robot.load_model(json.dumps(doc))
         assert model.n == 1
 
+    def test_bundled_model_loaded_once(self):
+        assert robot.bundled_model("iiwa7") is robot.bundled_model("iiwa7")
+        assert robot.bundled_model("anthro3r") is not robot.bundled_model("iiwa7")
+
+    def test_model_arrays_read_only(self, iiwa7):
+        joint, link = iiwa7.joints[0], iiwa7.links[0]
+        for array in (joint.axis, joint.home.rotation, joint.home.translation,
+                      link.com, link.inertia, iiwa7.end_effector.rotation,
+                      iiwa7.end_effector.translation):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_document_arrays_copied(self):
+        axis = np.array([0, 0, 0, 0, 0, 1.0])
+        doc = make_model([dict(revolute_z(), axis=axis)], [point_mass_link(1.0, (1, 0, 0))])
+        model = robot.load_model(doc)
+        axis[5] = -1.0
+        assert model.joints[0].axis[5] == 1.0
+
 
 class TestForwardKinematics:
     def test_home_pose_anthro3r(self, anthro3r):

@@ -30,6 +30,17 @@ class TestTaskStiffness:
         with pytest.raises(DimensionMismatch):
             st.TaskStiffness(np.eye(3), Frame.BODY)
 
+    def test_from_numbers(self, rng):
+        diag = rng.uniform(1.0, 10.0, 6)
+        assert np.array_equal(st.TaskStiffness.from_numbers(diag, Frame.BODY).hessian,
+                              np.diag(diag))
+        a = rng.normal(size=(6, 6))
+        full = st.TaskStiffness.from_numbers((a + a.T).ravel().tolist(), Frame.HYBRID)
+        assert np.array_equal(full.hessian, a + a.T)
+        assert full.frame == Frame.HYBRID
+        with pytest.raises(DimensionMismatch):
+            st.TaskStiffness.from_numbers([1.0] * 5, Frame.BODY)
+
 
 class TestTaskStiffnessCorrected:
     def test_zero_wrench_returns_hessian(self, rng):
