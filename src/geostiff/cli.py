@@ -148,7 +148,10 @@ def _cmd_example_anthro(args) -> int:
 
 def _load_sim_config(path: str) -> sim_mod.ControllerConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"config: not valid JSON: {exc}") from exc
     required = {"task_hessian", "damping_ratio", "frame", "with_correction", "rate"}
     if not isinstance(doc, dict):
         raise SchemaError("config must be a JSON object")
@@ -158,14 +161,17 @@ def _load_sim_config(path: str) -> sim_mod.ControllerConfig:
     missing = required - set(doc)
     if missing:
         raise SchemaError(f"config: missing keys {sorted(missing)}")
-    frame = Frame.parse(doc["frame"])
-    return sim_mod.ControllerConfig(
-        task_hessian=st.TaskStiffness.from_numbers(doc["task_hessian"], frame),
-        damping_ratio=float(doc["damping_ratio"]),
-        frame=frame,
-        with_correction=bool(doc["with_correction"]),
-        rate=float(doc["rate"]),
-    )
+    try:
+        frame = Frame.parse(doc["frame"])
+        return sim_mod.ControllerConfig(
+            task_hessian=st.TaskStiffness.from_numbers(doc["task_hessian"], frame),
+            damping_ratio=float(doc["damping_ratio"]),
+            frame=frame,
+            with_correction=bool(doc["with_correction"]),
+            rate=float(doc["rate"]),
+        )
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise SchemaError(f"config: {exc}") from exc
 
 
 _PLOTSCRIPT = """\
@@ -226,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stiff.add_argument("--q", required=True, help="joint angles, comma separated")
     p_stiff.add_argument("--wrench", required=True,
                          help="f1,f2,f3,m1,m2,m3 in the requested frame")
-    p_stiff.add_argument("--frame", choices=["body", "hybrid"], default="body")
+    p_stiff.add_argument("--frame", choices=[f.value for f in Frame], default="body")
     p_stiff.add_argument("--hessian", default=None,
                          help="task hessian, 6 (diagonal) or 36 numbers")
     corr = p_stiff.add_mutually_exclusive_group()
@@ -273,10 +279,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except GeostiffError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GeostiffError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

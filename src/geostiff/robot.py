@@ -8,6 +8,10 @@ own frame, so the pose after joint i is
 
 and the end-effector pose appends a fixed offset.  Link i (mass, com,
 inertia) is expressed in the frame of joint i after motion.
+
+All kinematics come from one batched pass in three stages: link poses
+(_frames), Jacobians (_jacobians), and the mass matrix with its
+eigen-factorisation (_mass).  Each public function views the stage it needs.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import json
-import weakref
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from .connection import Frame
 from .errors import (
     BadAxis,
     DimensionMismatch,
+    NonFinite,
     NonPositiveDefinite,
     SchemaError,
     ValidationError,
@@ -66,11 +72,10 @@ class RobotModel:
     def limits(self) -> np.ndarray:
         return np.array([[j.limit_lower, j.limit_upper] for j in self.joints])
 
-
-@dataclass(frozen=True)
-class JointState:
-    q: np.ndarray
-    qdot: np.ndarray
+    @functools.cached_property
+    def _static(self) -> "_StaticModelData":
+        """Configuration-independent arrays of the kinematics pass, built once."""
+        return _StaticModelData(self)
 
 
 @dataclass(frozen=True)
@@ -212,88 +217,10 @@ def _check_dim(model: RobotModel, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (model.n,):
         raise DimensionMismatch(f"expected q of length {model.n}, got shape {q.shape}")
+    # a finite sum means finite entries, and is the cheaper test per step
+    if not math.isfinite(sum(q.tolist())) and not np.isfinite(q).all():
+        raise NonFinite(f"q must be finite, got {q.tolist()}")
     return q
-
-
-def link_transforms(model: RobotModel, q) -> list:
-    """Poses T_0i of every link frame (after joint motion), base frame."""
-    q = _check_dim(model, q)
-    out = []
-    t = se3.Transform.identity()
-    for joint, qi in zip(model.joints, q):
-        t = t.compose(joint.home).compose(se3.exp_twist(joint.axis, qi))
-        out.append(t)
-    return out
-
-
-def forward_kinematics(model: RobotModel, q) -> se3.Transform:
-    """End-effector pose in the base frame."""
-    return link_transforms(model, q)[-1].compose(model.end_effector)
-
-
-def _body_jacobian(model: RobotModel, frames) -> tuple:
-    """Body Jacobian and end-effector pose from precomputed link frames."""
-    t_ee = frames[-1].compose(model.end_effector)
-    t_ee_inv = t_ee.inverse()
-    jac = np.empty((6, model.n))
-    for i, (joint, t0i) in enumerate(zip(model.joints, frames)):
-        jac[:, i] = se3.adjoint(t_ee_inv.compose(t0i)) @ joint.axis
-    return jac, t_ee
-
-
-def _to_hybrid(jb: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """Rotate both 3-row blocks of (..., 6, m) body columns into base axes."""
-    out = np.empty_like(jb)
-    out[..., :3, :] = rotation @ jb[..., :3, :]
-    out[..., 3:, :] = rotation @ jb[..., 3:, :]
-    return out
-
-
-def jacobian(model: RobotModel, q, frame: Frame) -> np.ndarray:
-    """6xn geometric Jacobian in the BODY or HYBRID convention.
-
-    BODY columns are joint screws expressed in the end-effector frame; HYBRID
-    gives end-effector origin velocity and angular velocity, both in
-    inertial axes.
-    """
-    q = _check_dim(model, q)
-    jb, t_ee = _body_jacobian(model, link_transforms(model, q))
-    if frame == Frame.BODY:
-        return jb
-    if frame == Frame.HYBRID:
-        return _to_hybrid(jb, t_ee.rotation)
-    raise ValueError(f"jacobian frame must be BODY or HYBRID, got {frame}")
-
-
-def _derivative_tensor(model: RobotModel, jb: np.ndarray, rotation, frame: Frame) -> np.ndarray:
-    n = model.n
-    ad_stack = np.stack([se3.ad(jb[:, a]) for a in range(n)])      # (n,6,6)
-    d_body = -np.einsum("akl,lb->akb", ad_stack, jb)
-    mask = np.tril(np.ones((n, n)), k=-1)                          # alpha > beta
-    d_body *= mask[:, None, :]
-    if frame == Frame.BODY:
-        return d_body
-    if frame != Frame.HYBRID:
-        raise ValueError(f"jacobian frame must be BODY or HYBRID, got {frame}")
-    # dR/dq_alpha = R * skew(body angular column alpha)
-    d_hyb = np.empty_like(d_body)
-    for a in range(n):
-        dr = rotation @ se3.skew(jb[3:, a])
-        d_hyb[a, :3] = dr @ jb[:3] + rotation @ d_body[a, :3]
-        d_hyb[a, 3:] = dr @ jb[3:] + rotation @ d_body[a, 3:]
-    return d_hyb
-
-
-def jacobian_transpose_derivative(model: RobotModel, q, frame: Frame) -> JacobianDerivative:
-    """Analytic derivative tensor D[alpha][k][beta] = dJ[k][beta]/dq[alpha].
-
-    Body columns depend only on downstream joints, so the body derivative is
-    the bracket -ad(J_alpha) J_beta for alpha > beta and zero otherwise.  The
-    hybrid derivative adds the rotation of the base-axes block.
-    """
-    q = _check_dim(model, q)
-    jb, t_ee = _body_jacobian(model, link_transforms(model, q))
-    return JacobianDerivative(_derivative_tensor(model, jb, t_ee.rotation, frame), frame)
 
 
 def _spatial_inertia(link: Link) -> np.ndarray:
@@ -307,50 +234,162 @@ def _spatial_inertia(link: Link) -> np.ndarray:
     return g
 
 
-def link_jacobian(model: RobotModel, q, link_index: int) -> np.ndarray:
-    """Body Jacobian of link link_index's frame (6xn, zero past the link)."""
+# skew(x) and ad(x) are linear in x: x @ basis gives them flattened
+_SKEW_BASIS = np.stack([se3.skew(e).ravel() for e in np.eye(3)])      # (3,9)
+_AD_BASIS = np.stack([se3.ad(e).ravel() for e in np.eye(6)])          # (6,36)
+
+
+class _StaticModelData:
+    """Configuration-independent arrays of a model's kinematics pass."""
+
+    def __init__(self, model: RobotModel):
+        n = model.n
+        # closed-form exponential [R | p] = [I + s W + (1 - c) W^2 |
+        # (q I + (1 - c) W + (q - s) W^2) v] with c = cos q, s = sin q,
+        # collected by the factors 1, q, c, s; w = 0 for prismatic joints
+        # gives R = I and p = q v with the same terms
+        terms = np.zeros((n, 4, 4, 4))
+        zero = np.zeros((3, 3))
+        for i, joint in enumerate(model.joints):
+            v, w_hat = joint.axis[:3], se3.skew(joint.axis[3:])
+            w_hat2 = w_hat @ w_hat
+            terms[i, :, :3, :3] = [np.eye(3) + w_hat2, zero, -w_hat2, w_hat]
+            terms[i, :, :3, 3] = [w_hat @ v, v + w_hat2 @ v, -w_hat @ v, -w_hat2 @ v]
+        terms[:, 0, 3, 3] = 1.0
+        home = np.stack([j.home.matrix() for j in model.joints])
+        local = home[:, None] @ terms
+        # home_i exp(axis_i q_i) = local_const[i] + [q, c, s] @ local_basis[i];
+        # entry n of local_const is the fixed end-effector offset
+        self.local_const = np.concatenate((local[:, 0], model.end_effector.matrix()[None]))
+        self.local_basis = local[:, 1:].reshape(n, 3, 16)
+        self.axes = np.stack([j.axis for j in model.joints])[:, :, None]   # (n,6,1)
+        self.inertias = np.stack([_spatial_inertia(l) for l in model.links])
+        # derivative masks, indexed [alpha, :, beta]: alpha > beta and alpha < beta
+        self.tril_mask = np.tril(np.ones((n, n)), k=-1)[:, None, :]
+        self.triu_mask = self.tril_mask.transpose(2, 1, 0)
+        self.link_mask = np.tril(np.ones((n, n)))[:, None, :]    # joints j <= link k
+
+
+def _frames(model: RobotModel, q) -> np.ndarray:
+    """The poses T_01 .. T_0n, T_ee as one (n + 1, 4, 4) array: one batched
+    product gives every home_i exp(axis_i q_i), and the chain is a prefix
+    product in log2(n + 1) batched steps."""
     q = _check_dim(model, q)
-    frames = link_transforms(model, q)
-    t_inv = frames[link_index].inverse()
-    jac = np.zeros((6, model.n))
-    for i in range(link_index + 1):
-        jac[:, i] = se3.adjoint(t_inv.compose(frames[i])) @ model.joints[i].axis
-    return jac
+    sd, n = model._static, model.n
+    coef = np.empty((n, 3))
+    coef[:, 0] = q
+    np.cos(q, out=coef[:, 1])
+    np.sin(q, out=coef[:, 2])
+    frames = sd.local_const.copy()
+    frames[:n] += (coef[:, None, :] @ sd.local_basis).reshape(n, 4, 4)
+    shift = 1
+    while shift <= n:
+        frames[shift:] = frames[:-shift] @ frames[shift:]
+        shift *= 2
+    return frames
 
 
-def _mass_from_frames(model: RobotModel, q, frames) -> np.ndarray:
-    n = model.n
-    s = np.empty((6, n))          # spatial joint screws, base frame
-    g0 = np.empty((n, 6, 6))      # link inertias, base frame
-    prev = se3.Transform.identity()
-    for i, joint in enumerate(model.joints):
-        s[:, i] = se3.adjoint(prev.compose(joint.home)) @ joint.axis
-        prev = frames[i]
-        ad_inv = se3.adjoint(frames[i].inverse())
-        g0[i] = ad_inv.T @ _spatial_inertia(model.links[i]) @ ad_inv
-    # composite inertia seen by joint i: everything from link i outward
-    composite = np.cumsum(g0[::-1], axis=0)[::-1]
-    m = np.empty((n, n))
-    for i in range(n):
-        fi = composite[i] @ s[:, i]
-        for j in range(i + 1):
-            m[i, j] = m[j, i] = s[:, j] @ fi
+class _Jacobians(NamedTuple):
+    frames: np.ndarray        # (n+1,4,4): T_01 .. T_0n, T_ee
+    screws_seen: np.ndarray   # (n+1,6,n): Ad(T^-1) S for each pose T in frames
+    jacobian: np.ndarray      # 6xn, requested frame
+    derivative: np.ndarray    # (n,6,n), requested frame
+
+
+def _in_frame(sd: _StaticModelData, screws, jb, r_ee, frame: Frame) -> tuple:
+    """Jacobian and its derivative D[alpha][:, beta] = dJ_beta/dq_alpha in frame.
+
+    A spatial column J_s,beta = s_beta moves only with the joints before it,
+    a body column J_b,beta only with the joints after it, both by Lie
+    brackets of the columns (Lynch & Park, Modern Robotics, ch. 5).
+    """
+    if frame == Frame.INERTIAL:
+        # dJ_s,beta/dq_alpha = ad(J_s,alpha) J_s,beta for alpha < beta
+        return screws, ((screws.T @ _AD_BASIS).reshape(-1, 6, 6) @ screws) * sd.triu_mask
+    # dJ_b,beta/dq_alpha = -ad(J_b,alpha) J_b,beta for alpha > beta
+    d_body = -((jb.T @ _AD_BASIS).reshape(-1, 6, 6) @ jb) * sd.tril_mask
+    if frame == Frame.BODY:
+        return jb, d_body
+    if frame == Frame.HYBRID:
+        # r_blocks = blockdiag(R, R) rotates both 3-row blocks into base axes;
+        # dR/dq_alpha = R skew(w_alpha) acts on both, and ad of the angular
+        # part alone is blockdiag(skew(w_alpha), skew(w_alpha))
+        r_blocks = np.zeros((6, 6))
+        r_blocks[:3, :3] = r_blocks[3:, 3:] = r_ee
+        w_blocks = (jb[3:].T @ _AD_BASIS[3:]).reshape(-1, 6, 6)
+        return r_blocks @ jb, r_blocks @ (w_blocks @ jb + d_body)
+    raise ValueError(f"frame must be a Frame, got {frame!r}")
+
+
+def _jacobians(model: RobotModel, q, frame: Frame) -> _Jacobians:
+    """The spatial screws s_i = Ad(T_0i) axis_i (Ad(exp(axis q)) axis = axis)
+    seen from every link and the end effector, and the Jacobian and its
+    derivative in frame.  The body Jacobian is Ad(T_ee^-1) S; that of link k
+    is Ad(T_0k^-1) S restricted to joints up to k."""
+    frames = _frames(model, q)
+    sd, n = model._static, model.n
+    # Ad(T) = [[R, p^ R], [0, R]] and Ad(T^-1) = [[R', (p^ R)'], [0, R']]
+    rot = frames[:, :3, :3]
+    p_hat_r = (frames[:, :3, 3] @ _SKEW_BASIS).reshape(n + 1, 3, 3) @ rot
+    ad = np.zeros((n, 6, 6))
+    ad[:, :3, :3] = ad[:, 3:, 3:] = rot[:n]
+    ad[:, :3, 3:] = p_hat_r[:n]
+    screws = (ad @ sd.axes)[:, :, 0].T
+    ad_inv = np.zeros((n + 1, 6, 6))
+    ad_inv[:, :3, :3] = ad_inv[:, 3:, 3:] = rot.transpose(0, 2, 1)
+    ad_inv[:, :3, 3:] = p_hat_r.transpose(0, 2, 1)
+    seen = ad_inv @ screws
+    jac, deriv = _in_frame(sd, screws, seen[n], rot[n], frame)
+    return _Jacobians(frames, seen, jac, deriv)
+
+
+def _mass(model: RobotModel, q, kin: _Jacobians) -> tuple:
+    """M = sum over links of J_k^T G_k J_k and its eigen-factorisation, which
+    checks M positive definite: (M, eigenvalues ascending, eigenvectors)."""
+    sd, n = model._static, model.n
+    link_jac = kin.screws_seen[:n] * sd.link_mask
+    m = link_jac.reshape(6 * n, n).T @ (sd.inertias @ link_jac).reshape(6 * n, n)
     m = 0.5 * (m + m.T)
-    if np.min(np.linalg.eigvalsh(m)) < 1e-9:
+    m_vals, m_vecs = np.linalg.eigh(m)
+    if m_vals[0] < 1e-9:
         raise NonPositiveDefinite(
             f"mass matrix not positive definite at q={np.asarray(q).tolist()}"
         )
-    return m
+    return m, m_vals, m_vecs
+
+
+def forward_kinematics(model: RobotModel, q) -> se3.Transform:
+    """End-effector pose in the base frame."""
+    return se3.Transform.from_matrix(_frames(model, q)[-1])
+
+
+def jacobian(model: RobotModel, q, frame: Frame) -> np.ndarray:
+    """6xn geometric Jacobian in the BODY, HYBRID or INERTIAL convention.
+
+    BODY columns are joint screws expressed in the end-effector frame; HYBRID
+    gives end-effector origin velocity and angular velocity, both in
+    inertial axes; INERTIAL columns are the spatial joint screws.
+    """
+    return _jacobians(model, q, frame).jacobian
+
+
+def jacobian_transpose_derivative(model: RobotModel, q, frame: Frame) -> JacobianDerivative:
+    """Analytic derivative tensor D[alpha][k][beta] = dJ[k][beta]/dq[alpha].
+
+    The body derivative is the bracket -ad(J_alpha) J_beta for alpha > beta,
+    the spatial one ad(J_alpha) J_beta for alpha < beta, and zero otherwise.
+    The hybrid derivative adds the rotation of the base-axes block.
+    """
+    return JacobianDerivative(_jacobians(model, q, frame).derivative, frame)
 
 
 def mass_matrix(model: RobotModel, q) -> np.ndarray:
-    """Joint-space inertia matrix by composite-rigid-body accumulation.
+    """Joint-space inertia matrix, the sum over links of J_k^T G_k J_k.
 
-    Per-link spatial inertias are mapped to the base frame, accumulated from
-    the tip inward, and contracted with the spatial joint screws.
+    J_k is the body Jacobian of link k and G_k its spatial inertia in the
+    link frame.  Raises NonPositiveDefinite unless M is positive definite.
     """
-    q = _check_dim(model, q)
-    return _mass_from_frames(model, q, link_transforms(model, q))
+    return _mass(model, q, _jacobians(model, q, Frame.BODY))[0]
 
 
 @dataclass(frozen=True)
@@ -375,119 +414,14 @@ class KinematicsBundle:
         return self.pose.rotation
 
 
-# skew(x) and ad(x) are linear in x: x @ basis gives them flattened
-_SKEW_BASIS = np.stack([se3.skew(e).ravel() for e in np.eye(3)])      # (3,9)
-_AD_BASIS = np.stack([se3.ad(e).ravel() for e in np.eye(6)])          # (6,36)
-
-
-class _StaticModelData:
-    """Configuration-independent arrays cached per model for full_kinematics."""
-
-    def __init__(self, model: RobotModel):
-        n = model.n
-        # closed-form exponential [R | p] = [I + s W + (1 - c) W^2 |
-        # (q I + (1 - c) W + (q - s) W^2) v] with c = cos q, s = sin q,
-        # collected by the factors 1, q, c, s; w = 0 for prismatic joints
-        # gives R = I and p = q v with the same terms
-        terms = np.zeros((n, 4, 4, 4))
-        zero = np.zeros((3, 3))
-        for i, joint in enumerate(model.joints):
-            v, w_hat = joint.axis[:3], se3.skew(joint.axis[3:])
-            w_hat2 = w_hat @ w_hat
-            terms[i, :, :3, :3] = [np.eye(3) + w_hat2, zero, -w_hat2, w_hat]
-            terms[i, :, :3, 3] = [w_hat @ v, v + w_hat2 @ v, -w_hat @ v, -w_hat2 @ v]
-        terms[:, 0, 3, 3] = 1.0
-        home = np.stack([j.home.matrix() for j in model.joints])
-        local = home[:, None] @ terms
-        # home_i exp(axis_i q_i) = local_const[i] + [q, c, s] @ local_basis[i];
-        # entry n of local_const is the fixed end-effector offset
-        self.local_const = np.concatenate((local[:, 0], model.end_effector.matrix()[None]))
-        self.local_basis = local[:, 1:].reshape(n, 3, 16)
-        self.axes = np.stack([j.axis for j in model.joints])[:, :, None]   # (n,6,1)
-        self.inertias = np.stack([_spatial_inertia(l) for l in model.links])
-        self.tril_mask = np.tril(np.ones((n, n)), k=-1)[:, None, :]
-        self.link_mask = np.tril(np.ones((n, n)))[:, None, :]    # joints j <= link k
-
-
-_STATIC_CACHE = weakref.WeakKeyDictionary()
-
-
-def _static_data(model: RobotModel) -> _StaticModelData:
-    data = _STATIC_CACHE.get(model)
-    if data is None:
-        data = _StaticModelData(model)
-        _STATIC_CACHE[model] = data
-    return data
-
-
 def full_kinematics(model: RobotModel, q, frame: Frame) -> KinematicsBundle:
-    """Pose, Jacobian, Jacobian derivative and inertia sharing one FK pass.
+    """Pose, Jacobian, Jacobian derivative and inertia from one pass.
 
-    Equivalent to calling forward_kinematics, jacobian,
-    jacobian_transpose_derivative and mass_matrix separately (tests pin the
-    equivalence); used per step by the simulator.
-
-    All joint transforms home_i exp(axis_i q_i) come from one batched
-    product.  The spatial screw of joint i is s_i = Ad(T_0i) axis_i, because
-    Ad(exp(axis q)) axis = axis.  The body Jacobian is Ad(T_ee^-1) S, and the
-    body Jacobian of link k is Ad(T_0k^-1) S restricted to joints up to k,
-    which gives the mass matrix as the sum of J_k^T G_k J_k.  M is checked
-    positive definite through its eigen-factorisation (eigh), which the
-    bundle carries for the simulator's damping design and acceleration
-    solve.
+    forward_kinematics, jacobian, jacobian_transpose_derivative and
+    mass_matrix are views of the stages of this pass; the simulator calls it
+    once per step and reuses the eigen-factorisation of M for its damping
+    design and acceleration solve.
     """
-    q = _check_dim(model, q)
-    sd = _static_data(model)
-    n = model.n
-
-    coef = np.empty((n, 3))
-    coef[:, 0] = q
-    np.cos(q, out=coef[:, 1])
-    np.sin(q, out=coef[:, 2])
-    frames = sd.local_const.copy()
-    frames[:n] += (coef[:, None, :] @ sd.local_basis).reshape(n, 4, 4)
-    # prefix products in log2(n + 1) batched steps: T_01 .. T_0n, then T_ee
-    shift = 1
-    while shift <= n:
-        frames[shift:] = frames[:-shift] @ frames[shift:]
-        shift *= 2
-
-    # adjoints Ad(T) = [[R, p^ R], [0, R]] and their inverses [[R', (p^ R)'], [0, R']]
-    rot = frames[:, :3, :3]
-    p_hat_r = (frames[:, :3, 3] @ _SKEW_BASIS).reshape(n + 1, 3, 3) @ rot
-    ad = np.zeros((n, 6, 6))
-    ad[:, :3, :3] = ad[:, 3:, 3:] = rot[:n]
-    ad[:, :3, 3:] = p_hat_r[:n]
-    ad_inv = np.zeros((n + 1, 6, 6))
-    ad_inv[:, :3, :3] = ad_inv[:, 3:, 3:] = rot.transpose(0, 2, 1)
-    ad_inv[:, :3, 3:] = p_hat_r.transpose(0, 2, 1)
-
-    # spatial screws s_i, seen from every link frame and from the end effector
-    screws = (ad @ sd.axes)[:, :, 0].T
-    seen = ad_inv @ screws
-    jb = seen[n]
-
-    # derivative: -ad(J_alpha) J_beta for alpha > beta
-    ad_cols = (jb.T @ _AD_BASIS).reshape(n, 6, 6)
-    d_body = -(ad_cols @ jb) * sd.tril_mask
-    if frame == Frame.BODY:
-        jac, deriv = jb, d_body
-    else:
-        # dR/dq_alpha = R skew(w_alpha) acts on both blocks: ad of the
-        # angular part alone is blockdiag(skew(w_alpha), skew(w_alpha))
-        w_blocks = (jb[3:].T @ _AD_BASIS[3:]).reshape(n, 6, 6)
-        r_ee = rot[n]
-        jac = _to_hybrid(jb, r_ee)
-        deriv = _to_hybrid(w_blocks @ jb + d_body, r_ee)
-
-    # mass matrix: sum over links of J_k^T G_k J_k, J_k the body Jacobian of link k
-    link_jac = seen[:n] * sd.link_mask
-    m = link_jac.reshape(6 * n, n).T @ (sd.inertias @ link_jac).reshape(6 * n, n)
-    m = 0.5 * (m + m.T)
-    m_vals, m_vecs = np.linalg.eigh(m)
-    if m_vals[0] < 1e-9:
-        raise NonPositiveDefinite(
-            f"mass matrix not positive definite at q={q.tolist()}"
-        )
-    return KinematicsBundle(se3.Transform.from_matrix(frames[n]), jac, deriv, m,
-                            m_vals, m_vecs)
+    kin = _jacobians(model, q, frame)
+    return KinematicsBundle(se3.Transform.from_matrix(kin.frames[-1]), kin.jacobian,
+                            kin.derivative, *_mass(model, q, kin))

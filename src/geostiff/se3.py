@@ -174,17 +174,3 @@ def structure_constant(k: int, i: int, j: int) -> float:
         if not 1 <= idx <= 6:
             raise IndexOutOfRange(f"index {name}={idx} outside 1..6")
     return float(STRUCTURE_CONSTANTS[k - 1, i - 1, j - 1])
-
-
-def basis_twist(i: int) -> np.ndarray:
-    """Standard basis twist e_i (1-based)."""
-    if not 1 <= i <= 6:
-        raise IndexOutOfRange(f"index i={i} outside 1..6")
-    e = np.zeros(6)
-    e[i - 1] = 1.0
-    return e
-
-
-def wrench_pairing(wrench, twist) -> float:
-    """Duality pairing <F, xi>: sum of componentwise products."""
-    return float(np.dot(np.asarray(wrench, dtype=float), np.asarray(twist, dtype=float)))

@@ -8,7 +8,9 @@ step and B designed by double diagonalization of (K, M).
 
 Wrench profiles are expressed in the hybrid convention: force along base
 axes, moment about the end-effector origin in base axes.  They are converted
-to the configured frame with the current forward-kinematics pose.
+to the configured frame with the current forward-kinematics pose: rotated
+into end-effector axes for BODY, and with the moment taken about the base
+origin for INERTIAL.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import robot as robot_mod
+from . import se3
 from . import stiffness as st
 from .connection import Frame
 from .errors import (
@@ -203,11 +206,16 @@ def _damping_from_factor(k_sym, m_vals, m_vecs, damping_ratio: float) -> np.ndar
     return (2.0 * damping_ratio) * (z @ z.T)
 
 
-def _wrench_in_frame(f_hybrid, rotation, frame: Frame) -> np.ndarray:
+def _wrench_in_frame(f_hybrid, pose, frame: Frame) -> np.ndarray:
+    """The hybrid wrench in the controller frame at end-effector pose `pose`."""
     if frame == Frame.HYBRID:
         return f_hybrid
-    # force and moment rows f^T R are (R^T f)^T
-    return (f_hybrid.reshape(2, 3) @ rotation).ravel()
+    if frame == Frame.INERTIAL:
+        # same force; moment about the base origin, m + p x f
+        f = f_hybrid[:3]
+        return np.concatenate((f, f_hybrid[3:] + se3.skew(pose.translation) @ f))
+    # body: force and moment rows f^T R are (R^T f)^T
+    return (f_hybrid.reshape(2, 3) @ pose.rotation).ravel()
 
 
 def simulate(model, controller: ControllerConfig, q0_trajectory: JointPath,
@@ -251,7 +259,7 @@ def simulate(model, controller: ControllerConfig, q0_trajectory: JointPath,
         t = times[k]
         kin = robot_mod.full_kinematics(model, q, frame)
         f_hybrid = f_samples[k]
-        f = _wrench_in_frame(f_hybrid, kin.rotation, frame)
+        f = _wrench_in_frame(f_hybrid, kin.pose, frame)
         k_joint = st.assemble_joint_stiffness(
             kin.jacobian, kin.derivative, controller.task_hessian.hessian,
             f, frame, controller.with_correction,

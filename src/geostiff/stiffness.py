@@ -86,9 +86,8 @@ def kinematic_stiffness(model, q, wrench, frame: Frame) -> np.ndarray:
     f = np.asarray(wrench, dtype=float)
     if f.shape != (6,):
         raise DimensionMismatch(f"wrench must have 6 components, got {f.shape}")
-    d = robot_mod.jacobian_transpose_derivative(model, q, frame).tensor
     # entry (i, j) = sum_k dJ[k][i]/dq_j * F_k
-    return np.einsum("jki,k->ij", d, f)
+    return (f @ robot_mod._jacobians(model, q, frame).derivative).T
 
 
 def assemble_joint_stiffness(jac, d_tensor, hessian_matrix, wrench, frame: Frame,
@@ -117,7 +116,7 @@ def joint_stiffness(model, q, hessian: TaskStiffness, wrench, frame: Frame,
     f = np.asarray(wrench, dtype=float)
     if f.shape != (6,):
         raise DimensionMismatch(f"wrench must have 6 components, got {f.shape}")
-    kin = robot_mod.full_kinematics(model, q, frame)
+    kin = robot_mod._jacobians(model, q, frame)     # no mass matrix needed
     matrix = assemble_joint_stiffness(
         kin.jacobian, kin.derivative, hessian.hessian, f, frame, with_correction
     )

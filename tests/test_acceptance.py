@@ -14,6 +14,7 @@ from geostiff import robot, se3, sim, stiffness as st
 from geostiff.connection import Frame, christoffel_table, correction_matrix
 
 from conftest import random_q
+from oracles import basis_twist
 
 RNG = np.random.default_rng(20240817)
 
@@ -40,7 +41,7 @@ def test_criterion_1_structure_constants():
     derived = np.zeros((6, 6, 6))
     for i in range(6):
         for j in range(6):
-            ei, ej = se3.basis_twist(i + 1), se3.basis_twist(j + 1)
+            ei, ej = basis_twist(i + 1), basis_twist(j + 1)
             bracket = se3.hat(ei) @ se3.hat(ej) - se3.hat(ej) @ se3.hat(ei)
             derived[:, i, j] = se3.vee(bracket)
     assert np.array_equal(derived, c)

@@ -119,6 +119,19 @@ class TestStiffness:
         expected = st.joint_stiffness(iiwa7, q, hessian, wrench, Frame.BODY).matrix
         assert np.array_equal(np.array(payload["matrix"]), expected)
 
+    def test_inertial_frame(self, capsys, iiwa7):
+        from geostiff import stiffness as st
+        from geostiff.connection import Frame
+        q, wrench = [0.1, 0.2, 0.3, -0.4, 0.5, 0.6, 0.7], [1, 2, 3, 4, 5, 6]
+        payload = run_json(
+            capsys, "stiffness", "--model", "iiwa7", "--frame", "inertial",
+            "--q", ",".join(map(str, q)), "--wrench", ",".join(map(str, wrench)),
+            "--hessian", "400,400,400,20,20,20", "compute")
+        hessian = st.TaskStiffness.from_numbers([400] * 3 + [20] * 3, Frame.INERTIAL)
+        expected = st.joint_stiffness(iiwa7, q, hessian, wrench, Frame.INERTIAL).matrix
+        assert np.array_equal(np.array(payload["matrix"]), expected)
+        assert payload["sigma_max_asym"] <= 1e-12 * payload["sigma_max_sym"]
+
     def test_bad_wrench_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "stiffness", "--model", "anthro3r.json",
                                  "--q", "0,0,0", "--wrench", "1,2", "compute")
@@ -158,6 +171,7 @@ class TestBoundaries:
         ["stiffness", "--model", "iiwa7", "--q=nan,0,0,0,0,0,0", W, "compute"],
         ["stiffness", "--model", "iiwa7", Q7, "--wrench=0,0,inf,0,0,0", "audit"],
         ["example", "anthro", "--m=1,nan,0"],
+        ["example", "anthro", "--q1=nan"],
     ])
     def test_malformed_input_exits_1(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -266,12 +280,23 @@ class TestSimulate:
         assert str(out) in text
         assert "sigma_max_asym" in text
 
-    def test_bad_config_exits_1(self, capsys, tmp_path, sim_files):
+    GOOD_CONFIG = {"task_hessian": [1000] * 6, "damping_ratio": 1.0, "frame": "body",
+                   "with_correction": True, "rate": 1000}
+
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({"task_hessian": [1] * 6}), "missing keys"),
+        (json.dumps(dict(GOOD_CONFIG, frame="weird")), "'weird'"),
+        ('{"task_hessian": [1000, 1000', "not valid JSON"),
+        (json.dumps(dict(GOOD_CONFIG, task_hessian=["a"] * 6)), "'a'"),
+    ], ids=["missing_keys", "unknown_frame", "not_json", "non_numeric_hessian"])
+    def test_bad_config_exits_1(self, capsys, tmp_path, sim_files, text, message):
         traj, wrench, config = sim_files
-        config.write_text(json.dumps({"task_hessian": [1] * 6}), encoding="utf-8")
-        code, _, err = run_cli(capsys, "simulate", "--model", "iiwa7.json",
-                               "--config", str(config), "--wrench", str(wrench),
-                               "--trajectory", str(traj),
-                               "--out", str(tmp_path / "x.csv"))
+        config.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--model", "iiwa7.json",
+                                 "--config", str(config), "--wrench", str(wrench),
+                                 "--trajectory", str(traj),
+                                 "--out", str(tmp_path / "x.csv"))
         assert code == 1
-        assert "missing keys" in err
+        assert out == ""
+        assert err.startswith("error: config: ")
+        assert message in err

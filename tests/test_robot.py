@@ -5,16 +5,25 @@ import json
 import numpy as np
 import pytest
 
-from geostiff import robot, se3
-from geostiff.connection import Frame
+from geostiff import robot, se3, stiffness as st
+from geostiff.connection import Frame, correction_matrix
 from geostiff.errors import (
     DimensionMismatch,
+    NonFinite,
     NonPositiveDefinite,
     SchemaError,
     ValidationError,
 )
 
 from conftest import random_q
+from oracles import (
+    brute_force_fk,
+    crba_mass_matrix,
+    jacobian_central_difference,
+    link_jacobian,
+    spatial_inertia,
+    twist_jacobian_central_difference,
+)
 
 IDENTITY_POSE = {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0]}
 
@@ -46,24 +55,6 @@ def single_revolute_model(ee_offset=(1.0, 0.0, 0.0)):
     ee = {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": list(ee_offset)}
     return robot.load_model(make_model([revolute_z()],
                                        [point_mass_link(1.0, (0.5, 0, 0))], ee))
-
-
-def brute_force_fk(model, q):
-    """Independent 4x4 chain product, rebuilt from the raw joint data."""
-    t = np.eye(4)
-    for joint, qi in zip(model.joints, q):
-        t = t @ joint.home.matrix()
-        h = se3.hat(joint.axis) * qi
-        # matrix exponential by scaling and squaring of the truncated series
-        e = np.eye(4)
-        term = np.eye(4)
-        for k in range(1, 25):
-            term = term @ (h / 8.0) / k
-            e = e + term
-        for _ in range(3):
-            e = e @ e
-        t = t @ e
-    return t @ model.end_effector.matrix()
 
 
 class TestLoadModel:
@@ -204,6 +195,10 @@ class TestJacobian:
                 r = robot.forward_kinematics(model, q).rotation
                 mapped = np.vstack([r @ jb[:3], r @ jb[3:]])
                 assert np.abs(jh - mapped).max() <= 1e-12
+                # Inertial = spatial Jacobian Ad(T_ee) J_b
+                js = robot.jacobian(model, q, Frame.INERTIAL)
+                pose = robot.forward_kinematics(model, q)
+                assert np.abs(js - se3.adjoint(pose) @ jb).max() <= 1e-12
 
 
 class TestJacobianDerivative:
@@ -222,20 +217,15 @@ class TestJacobianDerivative:
         assert np.abs(d[1, 3:, :]).max() < 1e-14
         assert np.abs(d[2, 3:, :]).max() < 1e-14
 
-    @pytest.mark.parametrize("frame", [Frame.BODY, Frame.HYBRID])
+    @pytest.mark.parametrize("frame", [Frame.BODY, Frame.HYBRID, Frame.INERTIAL])
     def test_matches_central_difference(self, iiwa7, rng, frame):
-        step = 1e-6
         for _ in range(5):
             q = random_q(rng, iiwa7)
             d = robot.jacobian_transpose_derivative(iiwa7, q, frame).tensor
+            fd = jacobian_central_difference(iiwa7, q, frame)
             for a in range(7):
-                dq = np.zeros(7)
-                dq[a] = step
-                jp = robot.jacobian(iiwa7, q + dq, frame)
-                jm = robot.jacobian(iiwa7, q - dq, frame)
-                fd = (jp - jm) / (2 * step)
-                scale = max(1.0, np.abs(fd).max())
-                assert np.abs(d[a] - fd).max() / scale < 1e-6
+                scale = max(1.0, np.abs(fd[a]).max())
+                assert np.abs(d[a] - fd[a]).max() / scale < 1e-6
 
 
 class TestMassMatrix:
@@ -259,9 +249,8 @@ class TestMassMatrix:
                 q = random_q(rng, model)
                 naive = np.zeros((model.n, model.n))
                 for i, link in enumerate(model.links):
-                    jl = robot.link_jacobian(model, q, i)
-                    gi = robot._spatial_inertia(link)
-                    naive += jl.T @ gi @ jl
+                    jl = link_jacobian(model, q, i)
+                    naive += jl.T @ spatial_inertia(link) @ jl
                 m = robot.mass_matrix(model, q)
                 assert np.abs(m - naive).max() <= 1e-9 * max(1.0, np.abs(m).max())
 
@@ -274,8 +263,8 @@ class TestMassMatrix:
             assert energy >= 0.0
             per_link = 0.0
             for i, link in enumerate(iiwa7.links):
-                twist = robot.link_jacobian(iiwa7, q, i) @ qd
-                per_link += 0.5 * twist @ robot._spatial_inertia(link) @ twist
+                twist = link_jacobian(iiwa7, q, i) @ qd
+                per_link += 0.5 * twist @ spatial_inertia(link) @ twist
             assert energy == pytest.approx(per_link, rel=1e-9)
 
     def test_massless_chain_rejected(self):
@@ -284,18 +273,47 @@ class TestMassMatrix:
         with pytest.raises(NonPositiveDefinite):
             robot.mass_matrix(model, [0.0])
 
+    def test_massless_chain_has_stiffness(self):
+        # stiffness needs no inertia: only M and full_kinematics reject it
+        doc = make_model([revolute_z(), revolute_z((1.0, 0, 0))],
+                         [point_mass_link(0.0, (0, 0, 0))] * 2,
+                         {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [1.0, 0, 0]})
+        model = robot.load_model(doc)
+        q, f = [0.3, -0.7], [1.0, 2.0, 0.0, 0.5, -1.0, 3.0]
+        h = np.diag([100.0] * 3 + [10.0] * 3)
+        k = st.joint_stiffness(model, q, st.TaskStiffness(h, Frame.BODY), f, Frame.BODY)
+        jac = robot.jacobian(model, q, Frame.BODY)
+        expected = (st.kinematic_stiffness(model, q, f, Frame.BODY)
+                    + jac.T @ (h + correction_matrix(Frame.BODY, f).matrix) @ jac)
+        assert np.abs(k.matrix - expected).max() <= 1e-12
+        for call in (robot.mass_matrix, lambda m, x: robot.full_kinematics(m, x, Frame.BODY)):
+            with pytest.raises(NonPositiveDefinite):
+                call(model, q)
+
 
 class TestFullKinematics:
-    @pytest.mark.parametrize("frame", [Frame.BODY, Frame.HYBRID])
+    @pytest.mark.parametrize("frame", [Frame.BODY, Frame.HYBRID, Frame.INERTIAL])
     def test_matches_individual_routines(self, anthro3r, iiwa7, rng, frame):
+        # every routine is a view of this pass, so compare with the oracles
         for model in (anthro3r, iiwa7):
             for _ in range(20):
                 q = random_q(rng, model)
                 kin = robot.full_kinematics(model, q, frame)
-                assert np.abs(kin.pose.matrix()
-                              - robot.forward_kinematics(model, q).matrix()).max() < 1e-12
-                assert np.abs(kin.jacobian
-                              - robot.jacobian(model, q, frame)).max() < 1e-12
-                ref = robot.jacobian_transpose_derivative(model, q, frame).tensor
-                assert np.abs(kin.derivative - ref).max() < 1e-12
-                assert np.abs(kin.mass - robot.mass_matrix(model, q)).max() < 1e-12
+                assert np.abs(kin.pose.matrix() - brute_force_fk(model, q)).max() <= 1e-12
+                fd = twist_jacobian_central_difference(model, q, frame)
+                assert np.abs(kin.jacobian - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+                fd = jacobian_central_difference(model, q, frame)
+                assert np.abs(kin.derivative - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+                assert np.abs(kin.mass - crba_mass_matrix(model, q)).max() <= 1e-12
+                m = kin.mass_eigvecs * kin.mass_eigvals @ kin.mass_eigvecs.T
+                assert np.abs(m - kin.mass).max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_q_rejected(self, iiwa7, bad):
+        q = np.zeros(7)
+        q[3] = bad
+        for call in (robot.forward_kinematics, robot.mass_matrix,
+                     lambda m, x: robot.jacobian(m, x, Frame.HYBRID),
+                     lambda m, x: robot.full_kinematics(m, x, Frame.BODY)):
+            with pytest.raises(NonFinite):
+                call(iiwa7, q)

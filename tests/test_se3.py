@@ -6,6 +6,8 @@ import pytest
 from geostiff import se3
 from geostiff.errors import BadAxis, IndexOutOfRange, MalformedMatrix
 
+from oracles import basis_twist, wrench_pairing
+
 
 def random_rotation(rng):
     axis = rng.normal(size=3)
@@ -174,7 +176,7 @@ class TestStructureConstants:
         derived = np.zeros((6, 6, 6))
         for i in range(6):
             for j in range(6):
-                ei, ej = se3.basis_twist(i + 1), se3.basis_twist(j + 1)
+                ei, ej = basis_twist(i + 1), basis_twist(j + 1)
                 bracket = se3.hat(ei) @ se3.hat(ej) - se3.hat(ej) @ se3.hat(ei)
                 derived[:, i, j] = se3.vee(bracket)
         assert np.array_equal(derived, se3.STRUCTURE_CONSTANTS)
@@ -188,6 +190,11 @@ class TestStructureConstants:
 
 class TestWrenchPairing:
     def test_componentwise_duality(self, rng):
+        # twists map by Ad(T), wrenches by Ad(T)^-T: the power is frame-free
         f = rng.normal(size=6)
         xi = rng.normal(size=6)
-        assert se3.wrench_pairing(f, xi) == pytest.approx(np.dot(f, xi), abs=1e-15)
+        t = se3.Transform(random_rotation(rng), rng.normal(size=3))
+        ad = se3.adjoint(t)
+        power = wrench_pairing(f, xi)
+        assert power == pytest.approx(np.dot(f, xi), abs=1e-15)
+        assert wrench_pairing(np.linalg.solve(ad.T, f), ad @ xi) == pytest.approx(power, abs=1e-12)

@@ -13,6 +13,9 @@ from geostiff.errors import (
     ValidationError,
 )
 
+from conftest import random_q
+from oracles import wrench_pairing
+
 Q0_IIWA = np.array([0.0, 0.5, 0.0, -1.2, 0.0, 0.8, 0.0])
 
 
@@ -178,6 +181,19 @@ class TestSimulate:
         ratio = trace.sigma_max_asym / np.maximum(trace.sigma_max_sym, 1e-12)
         assert ratio.max() <= 1e-9
 
+    @pytest.mark.parametrize("with_correction", [True, False])
+    def test_inertial_run(self, anthro3r, with_correction):
+        controller = sim.ControllerConfig(st.TaskStiffness.diagonal(1000.0, 100.0, Frame.INERTIAL),
+                                          1.0, Frame.INERTIAL, with_correction, 1000.0)
+        trajectory = sim.JointPath.constant([0.3, 0.4, -0.8], 0.3)
+        wrench = sim.WrenchProfile.ramp(0.3, [5.0, -3.0, 2.0, 0, -5.0, 1.0])
+        trace = sim.simulate(anthro3r, controller, trajectory, wrench, 0.3)
+        ratio = trace.sigma_max_asym / np.maximum(trace.sigma_max_sym, 1e-12)
+        if with_correction:
+            assert ratio.max() <= 1e-9
+        else:
+            assert trace.sigma_max_asym.max() > 0.5
+
     def test_uncorrected_run_logs_asymmetry(self, iiwa7):
         trajectory = sim.JointPath.constant(Q0_IIWA, 1.0)
         wrench = sim.WrenchProfile.ramp(1.0, [0, 0, 0, 0, -5.0, 0])
@@ -211,6 +227,37 @@ class TestSimulate:
         # full round trip precision through %.17g
         row = np.array([float(x) for x in lines[1].split(",")])
         assert row[1:8] == pytest.approx(trace.q[0], abs=0.0)
+
+
+class TestWrenchInFrame:
+    @pytest.mark.parametrize("frame", list(Frame))
+    def test_same_joint_torque_and_power_in_every_frame(self, iiwa7, rng, frame):
+        for _ in range(10):
+            q = random_q(rng, iiwa7)
+            f_h = rng.normal(scale=10.0, size=6)
+            qd = rng.normal(size=7)
+            f = sim._wrench_in_frame(f_h, robot.forward_kinematics(iiwa7, q), frame)
+            jac = robot.jacobian(iiwa7, q, frame)
+            j_h = robot.jacobian(iiwa7, q, Frame.HYBRID)
+            assert np.abs(jac.T @ f - j_h.T @ f_h).max() <= 1e-12 * max(1.0, np.abs(f_h).max())
+            assert wrench_pairing(f, jac @ qd) == pytest.approx(wrench_pairing(f_h, j_h @ qd),
+                                                                rel=1e-12, abs=1e-12)
+
+
+    def test_simulator_applies_the_same_load_in_every_frame(self, anthro3r):
+        # from rest at equilibrium the first step's velocity is dt M^-1 J^T F,
+        # whatever the spring, so it shows the load the plant received
+        q0 = np.array([0.3, 0.4, -0.8])
+        f_h = np.array([3.0, -2.0, 5.0, 0.5, -1.0, 0.8])
+        wrench = sim.WrenchProfile([0.0, 0.01], np.vstack([f_h, f_h]))
+        mass = robot.mass_matrix(anthro3r, q0)
+        expected = 1e-3 * np.linalg.solve(mass, robot.jacobian(anthro3r, q0, Frame.HYBRID).T @ f_h)
+        for frame in Frame:
+            controller = sim.ControllerConfig(st.TaskStiffness.diagonal(1000.0, 100.0, frame),
+                                              1.0, frame, True, 1000.0)
+            trace = sim.simulate(anthro3r, controller, sim.JointPath.constant(q0, 0.01),
+                                 wrench, 0.002)
+            assert np.abs(trace.qdot[1] - expected).max() <= 1e-12
 
 
 class TestSemicircleTrajectory:
