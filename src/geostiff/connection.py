@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange
+from .errors import DimensionMismatch, IndexOutOfRange, ValidationError
 
 
 class Frame(enum.Enum):
@@ -60,7 +60,10 @@ _TABLES = {Frame.BODY: _BODY, Frame.INERTIAL: _INERTIAL, Frame.HYBRID: _HYBRID}
 
 def christoffel_table(frame: Frame) -> np.ndarray:
     """Dense 6x6x6 array Gamma[m][i][j] (0-based indices) for the frame."""
-    return _TABLES[frame]
+    table = _TABLES.get(frame)
+    if table is None:
+        raise ValidationError(f"frame must be a Frame, got {frame!r}")
+    return table
 
 
 def christoffel(frame: Frame, m: int, i: int, j: int) -> float:
@@ -68,7 +71,7 @@ def christoffel(frame: Frame, m: int, i: int, j: int) -> float:
     for name, idx in (("m", m), ("i", i), ("j", j)):
         if not 1 <= idx <= 6:
             raise IndexOutOfRange(f"index {name}={idx} outside 1..6")
-    return float(_TABLES[frame][m - 1, i - 1, j - 1])
+    return float(christoffel_table(frame)[m - 1, i - 1, j - 1])
 
 
 @dataclass(frozen=True)
@@ -89,5 +92,5 @@ def correction_matrix(frame: Frame, wrench) -> CorrectionMatrix:
     f = np.asarray(wrench, dtype=float)
     if f.shape != (6,):
         raise DimensionMismatch(f"wrench must have 6 components, got {f.shape}")
-    m = (f @ _TABLES[frame].reshape(6, 36)).reshape(6, 6)
+    m = (f @ christoffel_table(frame).reshape(6, 36)).reshape(6, 6)
     return CorrectionMatrix(m, frame)

@@ -318,7 +318,7 @@ def _in_frame(sd: _StaticModelData, screws, jb, r_ee, frame: Frame) -> tuple:
         r_blocks[:3, :3] = r_blocks[3:, 3:] = r_ee
         w_blocks = (jb[3:].T @ _AD_BASIS[3:]).reshape(-1, 6, 6)
         return r_blocks @ jb, r_blocks @ (w_blocks @ jb + d_body)
-    raise ValueError(f"frame must be a Frame, got {frame!r}")
+    raise ValidationError(f"frame must be a Frame, got {frame!r}")
 
 
 def _jacobians(model: RobotModel, q, frame: Frame) -> _Jacobians:
@@ -408,10 +408,6 @@ class KinematicsBundle:
     mass: np.ndarray          # nxn
     mass_eigvals: np.ndarray  # (n,), ascending
     mass_eigvecs: np.ndarray  # nxn, orthonormal columns
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return self.pose.rotation
 
 
 def full_kinematics(model: RobotModel, q, frame: Frame) -> KinematicsBundle:

@@ -16,6 +16,7 @@ origin for INERTIAL.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from . import stiffness as st
 from .connection import Frame
 from .errors import (
     DimensionMismatch,
+    GeostiffError,
     IntegrationDiverged,
     NegativeEigenvalue,
     NonPositiveDefinite,
@@ -33,6 +35,9 @@ from .errors import (
 )
 
 DIVERGENCE_SPEED = 1e3  # rad/s
+_DIAGNOSTIC_CHUNK = 1024  # steps per batched eigvalsh of the logged sigma columns
+_EPS = float(np.finfo(float).eps)
+_PSD_FLOOR = -1e-9   # the least eigenvalue a stiffness's symmetric part may have
 
 
 @dataclass(frozen=True)
@@ -171,7 +176,8 @@ def design_damping(k_joint, m_inertia, damping_ratio: float) -> np.ndarray:
     eigen-solves.  The simulator step runs the same design
     (_damping_from_factor) without them: it reuses the eigen-factorisation
     of M that full_kinematics made for its positive-definiteness check, and
-    the PSD check of K comes from the step's symmetry report.
+    decides the PSD check of K from the spectrum of the design's own eigh
+    (_check_psd_congruent).
     """
     k = np.asarray(k_joint, dtype=float)
     m = np.asarray(m_inertia, dtype=float)
@@ -182,28 +188,49 @@ def design_damping(k_joint, m_inertia, damping_ratio: float) -> np.ndarray:
     m_vals, m_vecs = np.linalg.eigh(0.5 * (m + m.T))
     if m_vals[0] <= 0:
         raise NonPositiveDefinite("inertia matrix must be positive definite")
-    return _damping_from_factor(k, m_vals, m_vecs, damping_ratio)
+    return _damping_from_factor(k, m_vals, m_vecs, damping_ratio)[0]
 
 
 def _check_psd(k_min: float) -> None:
     """Reject a stiffness whose symmetric part has eigenvalue k_min < -1e-9."""
-    if k_min < -1e-9:
+    if k_min < _PSD_FLOOR:
         raise NegativeEigenvalue(f"stiffness has negative eigenvalue {k_min:.3e}")
 
 
-def _damping_from_factor(k_sym, m_vals, m_vecs, damping_ratio: float) -> np.ndarray:
+def _check_psd_congruent(k_sym, mu_min: float, m_vals) -> None:
+    """_check_psd of K_sym, decided where it can be from the smallest
+    eigenvalue mu_min of A^T K_sym A, A = V diag(m_vals)^-1/2.
+
+    The two matrices are congruent, so by Ostrowski's theorem (Horn &
+    Johnson, Matrix Analysis, Thm 4.5.9) lambda_min(K_sym) = mu_min phi
+    with phi in [m_min, m_max].  K_sym passes without a further solve when
+    (mu_min - margin) m_max >= -1e-9.  The margin bounds, in units of mu,
+    the rounding of forming A^T K_sym A (at most ~2 n^2 eps ||K||_F / m_min
+    with ||A||_F^2 <= n / m_min), of its eigh, and of the eigvalsh of K_sym
+    that this check stands in for.  Every other case, each rejection
+    included, is decided by that eigvalsh, as in design_damping.
+    """
+    n = len(m_vals)
+    k_flat = k_sym.ravel()
+    margin = 4 * n * n * _EPS * math.sqrt(k_flat @ k_flat) / m_vals[0]
+    if (mu_min - margin) * m_vals[-1] < _PSD_FLOOR:
+        _check_psd(np.linalg.eigvalsh(k_sym)[0])
+
+
+def _damping_from_factor(k_sym, m_vals, m_vecs, damping_ratio: float) -> tuple:
     """Damping design for symmetric K and SPD M = V diag(m_vals) V^T.
 
     With A = V diag(m_vals)^-1/2, the matrix M^-1/2 K M^-1/2 equals
     V (A^T K A) V^T, so it shares the spectrum mu and, rotated by V, the
     eigenvectors U of A^T K A.  Then B = 2 zeta Z Z^T with
     Z = V diag(m_vals)^1/2 U diag(mu)^1/4, negative mu clamped to zero.
+    Returns (B, mu), mu ascending.
     """
     root = np.sqrt(m_vals)
     a = m_vecs / root
     mu, u = np.linalg.eigh(a.T @ k_sym @ a)    # reads the lower triangle only
     z = (m_vecs * root) @ u * np.maximum(mu, 0.0) ** 0.25
-    return (2.0 * damping_ratio) * (z @ z.T)
+    return (2.0 * damping_ratio) * (z @ z.T), mu
 
 
 def _wrench_in_frame(f_hybrid, pose, frame: Frame) -> np.ndarray:
@@ -223,7 +250,10 @@ def simulate(model, controller: ControllerConfig, q0_trajectory: JointPath,
     """Run the impedance-control simulation and log stiffness diagnostics.
 
     The state starts at rest at q_init (default: the trajectory's first
-    sample, so the run begins at equilibrium).
+    sample, so the run begins at equilibrium).  A GeostiffError raised by a
+    step keeps its class and names the step, its time t and q.  The logged
+    sigma columns are computed after the loop from the stored stiffness of
+    every step, in batches of _DIAGNOSTIC_CHUNK steps.
     """
     if duration <= 0:
         raise ValidationError("duration must be positive")
@@ -247,48 +277,47 @@ def simulate(model, controller: ControllerConfig, q0_trajectory: JointPath,
         if q.shape != (n,):
             raise DimensionMismatch(f"q_init must have {n} components")
     qd = np.zeros(n)
-    out_t = np.empty(steps)
     out_q = np.empty((steps, n))
     out_qd = np.empty((steps, n))
     out_tau = np.empty((steps, n))
-    out_f = np.empty((steps, 6))
-    out_sym = np.empty(steps)
-    out_asym = np.empty(steps)
+    out_k = np.empty((steps, n, n))
 
     for k in range(steps):
-        t = times[k]
-        kin = robot_mod.full_kinematics(model, q, frame)
-        f_hybrid = f_samples[k]
-        f = _wrench_in_frame(f_hybrid, kin.pose, frame)
-        k_joint = st.assemble_joint_stiffness(
-            kin.jacobian, kin.derivative, controller.task_hessian.hessian,
-            f, frame, controller.with_correction,
-        )
-        report = st.symmetry_report(k_joint)
-        _check_psd(report.min_eig_sym)
-        m_vals, m_vecs = kin.mass_eigvals, kin.mass_eigvecs
-        b = _damping_from_factor(0.5 * (k_joint + k_joint.T), m_vals, m_vecs,
-                                 controller.damping_ratio)
-        tau = k_joint @ (q0_samples[k] - q) - b @ qd
-
-        out_t[k] = t
-        out_q[k] = q
-        out_qd[k] = qd
-        out_tau[k] = tau
-        out_f[k] = f_hybrid
-        out_sym[k] = report.sigma_max_sym
-        out_asym[k] = report.sigma_max_asym
-
-        qdd = m_vecs @ ((tau + kin.jacobian.T @ f) @ m_vecs / m_vals)
-        qd = qd + dt * qdd
-        q = q + dt * qd
-        speed = np.sqrt(qd @ qd)
-        if speed > DIVERGENCE_SPEED:
-            raise IntegrationDiverged(
-                f"joint speed {speed:.1f} rad/s at t={t:.3f} s"
+        try:
+            kin = robot_mod.full_kinematics(model, q, frame)
+            f = _wrench_in_frame(f_samples[k], kin.pose, frame)
+            k_joint = st.assemble_joint_stiffness(
+                kin.jacobian, kin.derivative, controller.task_hessian.hessian,
+                f, frame, controller.with_correction,
             )
+            k_sym = 0.5 * (k_joint + k_joint.T)
+            m_vals, m_vecs = kin.mass_eigvals, kin.mass_eigvecs
+            b, mu = _damping_from_factor(k_sym, m_vals, m_vecs, controller.damping_ratio)
+            _check_psd_congruent(k_sym, mu[0], m_vals)
+            tau = k_joint @ (q0_samples[k] - q) - b @ qd
 
-    return SimTrace(out_t, out_q, out_qd, out_tau, out_f, out_sym, out_asym)
+            out_q[k] = q
+            out_qd[k] = qd
+            out_tau[k] = tau
+            out_k[k] = k_joint
+
+            qdd = m_vecs @ ((tau + kin.jacobian.T @ f) @ m_vecs / m_vals)
+            qd = qd + dt * qdd
+            speed = np.sqrt(qd @ qd)
+            if speed > DIVERGENCE_SPEED:
+                raise IntegrationDiverged(f"joint speed {speed:.1f} rad/s")
+            q = q + dt * qd
+        except GeostiffError as exc:
+            raise type(exc)(
+                f"{exc} at step {k}, t={times[k]:.3f} s, q={q.tolist()}"
+            ) from exc
+
+    out_sym = np.empty(steps)
+    out_asym = np.empty(steps)
+    for s in range(0, steps, _DIAGNOSTIC_CHUNK):
+        chunk = slice(s, s + _DIAGNOSTIC_CHUNK)
+        out_sym[chunk], out_asym[chunk] = st._sigma_max(out_k[chunk])
+    return SimTrace(times, out_q, out_qd, out_tau, f_samples, out_sym, out_asym)
 
 
 def semicircle_trajectory(model, q_start, duration: float, radius: float = 0.1,

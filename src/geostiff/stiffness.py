@@ -64,7 +64,6 @@ class SymmetryReport:
     sigma_max_sym: float
     sigma_max_asym: float
     asym_ratio: float
-    min_eig_sym: float        # smallest eigenvalue of the symmetric part
 
 
 def task_stiffness_corrected(hessian: TaskStiffness, wrench, frame: Frame = None) -> np.ndarray:
@@ -123,11 +122,16 @@ def joint_stiffness(model, q, hessian: TaskStiffness, wrench, frame: Frame,
     return JointStiffness(matrix, with_correction, frame, f)
 
 
-def symmetry_decompose(m) -> tuple:
-    """Split a square matrix into (symmetric, antisymmetric) parts."""
+def _square(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"expected square matrix, got shape {m.shape}")
+    return m
+
+
+def symmetry_decompose(m) -> tuple:
+    """Split a square matrix into (symmetric, antisymmetric) parts."""
+    m = _square(m)
     sym = 0.5 * (m + m.T)
     return sym, m - sym
 
@@ -135,16 +139,28 @@ def symmetry_decompose(m) -> tuple:
 def symmetry_report(m) -> SymmetryReport:
     """Largest singular values of the symmetric and antisymmetric parts.
 
-    For the symmetric part the singular values are the absolute eigenvalues;
-    for the antisymmetric part they come from the Gram matrix.  One stacked
-    eigvalsh call gives both spectra (no full SVD), and the symmetric one
-    also yields min_eig_sym, the simulator's positive-semidefiniteness check.
+    The simulator logs the same two values for a whole run at once: both
+    come from _sigma_max, here on a stack of one matrix.
     """
-    sym, asym = symmetry_decompose(m)
-    if sym.size == 0:
-        return SymmetryReport(0.0, 0.0, 0.0, 0.0)
-    eig_sym, eig_gram = np.linalg.eigvalsh(np.stack((sym, asym @ asym.T)))
-    lo, hi = float(eig_sym[0]), float(eig_sym[-1])
-    s_sym = max(abs(lo), abs(hi))
-    s_asym = float(np.sqrt(max(0.0, eig_gram[-1])))
-    return SymmetryReport(s_sym, s_asym, s_asym / max(s_sym, 1e-12), lo)
+    m = _square(m)
+    if m.size == 0:
+        return SymmetryReport(0.0, 0.0, 0.0)
+    s_sym, s_asym = (float(s[0]) for s in _sigma_max(m[None]))
+    return SymmetryReport(s_sym, s_asym, s_asym / max(s_sym, 1e-12))
+
+
+def _sigma_max(stack) -> tuple:
+    """sigma_max of the symmetric and of the antisymmetric part of each
+    matrix in a (c, n, n) stack, as two (c,) arrays.
+
+    For the symmetric part the singular values are the absolute
+    eigenvalues; for the antisymmetric part they are the roots of the
+    eigenvalues of its Gram matrix.  One stacked eigvalsh gives both
+    spectra of every matrix (no SVD).
+    """
+    sym = 0.5 * (stack + stack.transpose(0, 2, 1))
+    asym = stack - sym
+    eig = np.linalg.eigvalsh(np.concatenate((sym, asym @ asym.transpose(0, 2, 1))))
+    c = len(stack)
+    return (np.maximum(np.abs(eig[:c, 0]), np.abs(eig[:c, -1])),
+            np.sqrt(np.maximum(eig[c:, -1], 0.0)))

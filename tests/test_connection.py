@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from geostiff import se3
+from geostiff import robot, se3
 from geostiff.connection import Frame, christoffel, christoffel_table, correction_matrix
-from geostiff.errors import DimensionMismatch, IndexOutOfRange
+from geostiff.errors import DimensionMismatch, IndexOutOfRange, ValidationError
 
 
 def derive_body_table():
@@ -135,3 +135,15 @@ class TestFrameParse:
     def test_unknown_name(self):
         with pytest.raises(Exception):
             Frame.parse("spatialish")
+
+
+@pytest.mark.parametrize("frame", ["body", None])
+@pytest.mark.parametrize("lookup", [
+    christoffel_table,
+    lambda frame: christoffel(frame, 1, 1, 1),
+    lambda frame: correction_matrix(frame, np.zeros(6)),
+    lambda frame: robot.jacobian(robot.bundled_model("anthro3r"), np.zeros(3), frame),
+], ids=["christoffel_table", "christoffel", "correction_matrix", "jacobian"])
+def test_non_frame_raises_validation_error(lookup, frame):
+    with pytest.raises(ValidationError, match="frame must be a Frame"):
+        lookup(frame)

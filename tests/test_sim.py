@@ -1,5 +1,7 @@
 """Impedance-control simulation, damping design, and trace I/O."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from geostiff.errors import (
     DimensionMismatch,
     IntegrationDiverged,
     NegativeEigenvalue,
+    NonFinite,
     NonPositiveDefinite,
     ValidationError,
 )
@@ -170,9 +173,10 @@ class TestSimulate:
             0.001, Frame.BODY, True, 100.0)
         q0 = np.array([0.0, 0.5, 0.5])
         trajectory = sim.JointPath.constant(q0, 10.0)
-        with pytest.raises(IntegrationDiverged):
+        with pytest.raises(IntegrationDiverged) as info:
             sim.simulate(anthro3r, controller, trajectory,
                          sim.WrenchProfile.zero(10.0), 10.0, q_init=q0 + 0.01)
+        assert_names_step(info.value, None)
 
     def test_corrected_run_logs_symmetric_stiffness(self, iiwa7):
         trajectory = sim.JointPath.constant(Q0_IIWA, 1.0)
@@ -201,11 +205,30 @@ class TestSimulate:
         assert trace.sigma_max_asym.max() > 0.5
 
     def test_indefinite_task_spring_rejected(self, iiwa7):
-        # the step's PSD check of K_sym shares the symmetry report's solve
+        # the step's PSD check of K_sym, decided by the exact eigvalsh
         controller = body_controller(k_r=-100.0)
-        with pytest.raises(NegativeEigenvalue):
+        with pytest.raises(NegativeEigenvalue) as info:
             sim.simulate(iiwa7, controller, sim.JointPath.constant(Q0_IIWA, 0.1),
                          sim.WrenchProfile.zero(0.1), 0.1)
+        assert_names_step(info.value, 0)
+        assert "t=0.000 s" in str(info.value)
+        assert str(info.value.__cause__).startswith("stiffness has negative eigenvalue")
+
+    def test_nonfinite_start_names_step(self, anthro3r):
+        q0 = np.array([0.3, 0.4, -0.8])
+        with pytest.raises(NonFinite) as info:
+            sim.simulate(anthro3r, body_controller(), sim.JointPath.constant(q0, 0.1),
+                         sim.WrenchProfile.zero(0.1), 0.1, q_init=[0.3, np.nan, -0.8])
+        assert_names_step(info.value, 0)
+
+    def test_massless_chain_names_step(self, anthro3r):
+        links = tuple(robot.Link(0.0, link.com, np.zeros((3, 3))) for link in anthro3r.links)
+        model = robot.RobotModel("massless", anthro3r.joints, links, anthro3r.end_effector)
+        q0 = np.array([0.3, 0.4, -0.8])
+        with pytest.raises(NonPositiveDefinite) as info:
+            sim.simulate(model, body_controller(), sim.JointPath.constant(q0, 0.1),
+                         sim.WrenchProfile.zero(0.1), 0.1)
+        assert_names_step(info.value, 0)
 
     def test_duration_must_be_positive(self, iiwa7):
         with pytest.raises(ValidationError):
@@ -227,6 +250,101 @@ class TestSimulate:
         # full round trip precision through %.17g
         row = np.array([float(x) for x in lines[1].split(",")])
         assert row[1:8] == pytest.approx(trace.q[0], abs=0.0)
+
+
+def assert_names_step(exc, step):
+    """A run's error names the step (any step if None), its t and q."""
+    text = str(exc)
+    assert (" at step " if step is None else f" at step {step},") in text
+    assert " t=" in text and " s, q=[" in text
+    assert type(exc.__cause__) is type(exc)
+
+
+def _psd_outcome(check, *args):
+    """The message a PSD check raises, or None if it passes."""
+    try:
+        check(*args)
+    except NegativeEigenvalue as exc:
+        return str(exc)
+    return None
+
+
+def _spd(rng, vals):
+    q, _ = np.linalg.qr(rng.normal(size=(len(vals), len(vals))))
+    m = (q * vals) @ q.T
+    return 0.5 * (m + m.T)
+
+
+class TestStepPsdCheck:
+    """The step decides the -1e-9 PSD check of K_sym from the spectrum mu of
+    the damping design's A^T K_sym A, and falls back to eigvalsh(K_sym)."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("lam_min", [-1e-6, -2e-9, -1.01e-9, -0.99e-9, -1e-12, 0.0, 1e-3])
+    def test_decision_matches_exact_check(self, rng, lam_min, scale):
+        for _ in range(10):
+            m = _spd(rng, rng.uniform(0.01, 10.0, 7))
+            k = _spd(rng, np.concatenate(([lam_min], scale * rng.uniform(0.1, 1.0, 6))))
+            m_vals, m_vecs = np.linalg.eigh(m)
+            _, mu = sim._damping_from_factor(k, m_vals, m_vecs, 1.0)
+            assert (_psd_outcome(sim._check_psd_congruent, k, mu[0], m_vals)
+                    == _psd_outcome(sim._check_psd, np.linalg.eigvalsh(k)[0]))
+
+    @pytest.mark.parametrize("with_correction", [True, False])
+    def test_two_eigen_solves_per_step(self, iiwa7, monkeypatch, with_correction):
+        trajectory = sim.semicircle_trajectory(iiwa7, Q0_IIWA, 0.5, radius=0.1)
+        wrench = sim.WrenchProfile.ramp(0.5, [0, 0, 0, 0, -10.0, 0])
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counting(name):
+            inner = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        trace = sim.simulate(iiwa7, body_controller(with_correction), trajectory, wrench, 0.5)
+        steps = len(trace.t)
+        assert steps == 500
+        assert calls["eigh"] == 2 * steps
+        assert 1 <= calls["eigvalsh"] <= math.ceil(steps / sim._DIAGNOSTIC_CHUNK) + 1
+
+
+class TestLoggedDiagnostics:
+    # the INERTIAL case is the stable anthro3r run of test_inertial_run
+    CASES = {
+        Frame.BODY: ("iiwa7", Q0_IIWA, [2.0, -1.0, 3.0, 0.5, -5.0, 1.0]),
+        Frame.HYBRID: ("iiwa7", Q0_IIWA, [2.0, -1.0, 3.0, 0.5, -5.0, 1.0]),
+        Frame.INERTIAL: ("anthro3r", [0.3, 0.4, -0.8], [5.0, -3.0, 2.0, 0, -5.0, 1.0]),
+    }
+
+    @pytest.mark.parametrize("frame", list(Frame))
+    @pytest.mark.parametrize("with_correction", [True, False])
+    def test_sigmas_match_symmetry_report(self, monkeypatch, frame, with_correction):
+        # a small chunk so that 200 steps span full chunks and a partial one
+        monkeypatch.setattr(sim, "_DIAGNOSTIC_CHUNK", 64)
+        name, q0, final_wrench = self.CASES[frame]
+        model = robot.bundled_model(name)
+        controller = sim.ControllerConfig(st.TaskStiffness.diagonal(1000.0, 100.0, frame),
+                                          1.0, frame, with_correction, 1000.0)
+        trace = sim.simulate(model, controller, sim.JointPath.constant(q0, 0.2),
+                             sim.WrenchProfile.ramp(0.2, final_wrench), 0.2)
+        assert len(trace.t) == 200
+        for i in range(len(trace.t)):
+            kin = robot.full_kinematics(model, trace.q[i], frame)
+            f = sim._wrench_in_frame(trace.f_ext[i], kin.pose, frame)
+            k = st.assemble_joint_stiffness(kin.jacobian, kin.derivative,
+                                            controller.task_hessian.hessian, f, frame,
+                                            with_correction)
+            report = st.symmetry_report(k)
+            tol = 1e-12 * report.sigma_max_sym
+            assert abs(trace.sigma_max_sym[i] - report.sigma_max_sym) <= tol
+            assert abs(trace.sigma_max_asym[i] - report.sigma_max_asym) <= tol
+        if not with_correction:
+            assert trace.sigma_max_asym.max() > 1e-3 * trace.sigma_max_sym.max()
 
 
 class TestWrenchInFrame:
