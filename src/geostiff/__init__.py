@@ -16,7 +16,6 @@ from .passivity import (
     loop_work,
 )
 from .robot import (
-    JacobianDerivative,
     Joint,
     KinematicsBundle,
     Link,
@@ -58,7 +57,6 @@ from .stiffness import (
     kinematic_stiffness,
     symmetry_decompose,
     symmetry_report,
-    task_stiffness_corrected,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +72,6 @@ __all__ = [
     "audit_stiffness",
     "circle_path",
     "loop_work",
-    "JacobianDerivative",
     "Joint",
     "KinematicsBundle",
     "Link",
@@ -110,6 +107,5 @@ __all__ = [
     "kinematic_stiffness",
     "symmetry_decompose",
     "symmetry_report",
-    "task_stiffness_corrected",
     "__version__",
 ]

@@ -22,14 +22,18 @@ from . import robot as robot_mod
 from . import sim as sim_mod
 from . import stiffness as st
 from .connection import Frame, correction_matrix
-from .errors import GeostiffError, SchemaError, ValidationError
+from .errors import GeostiffError, NonFinite, SchemaError, ValidationError
 
 MODEL_PATH_VAR = "GEOSTIFF_MODEL_PATH"
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Print the payload as JSON, or raise NonFinite if it holds NaN or inf."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFinite(f"result is not finite: {exc}") from exc
+    sys.stdout.write(text + "\n")
 
 
 def _parse_floats(text: str, label: str, expected: int = None) -> np.ndarray:
@@ -82,7 +86,10 @@ def _cmd_stiffness(args) -> int:
         hessian = st.TaskStiffness(np.zeros((6, 6)), frame)
     result = st.joint_stiffness(model, q, hessian, wrench, frame,
                                 with_correction=args.correction)
-    report = st.symmetry_report(result.matrix)
+    try:
+        report = st.symmetry_report(result.matrix)
+    except np.linalg.LinAlgError as exc:    # an entry, or its square, overflows
+        raise NonFinite(f"joint stiffness overflows for these inputs: {exc}") from exc
     payload = {
         "inputs_echo": {
             "model": args.model,
@@ -114,7 +121,7 @@ def _cmd_passivity(args) -> int:
     try:
         doc = json.loads(text)
         k = np.asarray(doc, dtype=float)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(f"--matrix: not a file or a numeric JSON matrix: {exc}") from exc
     audit = pv.audit_stiffness(k)
     _emit({
@@ -133,7 +140,7 @@ def _cmd_example_anthro(args) -> int:
     wrench = np.concatenate([np.zeros(3), m])
     k_kin = st.kinematic_stiffness(model, q, wrench, Frame.HYBRID)
     jac = robot_mod.jacobian(model, q, Frame.HYBRID)
-    gamma_f = correction_matrix(Frame.HYBRID, wrench).matrix
+    gamma_f = correction_matrix(Frame.HYBRID, wrench)
     sandwich = jac.T @ gamma_f @ jac
     a = 0.5 * (m[0] * np.cos(q1) + m[1] * np.sin(q1))
     _emit({
@@ -170,8 +177,10 @@ def _load_sim_config(path: str) -> sim_mod.ControllerConfig:
             with_correction=bool(doc["with_correction"]),
             rate=float(doc["rate"]),
         )
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise SchemaError(f"config: {exc}") from exc
+    except GeostiffError as exc:
+        raise type(exc)(f"config: {exc}") from exc
 
 
 _PLOTSCRIPT = """\

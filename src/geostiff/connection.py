@@ -14,7 +14,6 @@ Three coordinate conventions are supported:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +59,10 @@ _TABLES = {Frame.BODY: _BODY, Frame.INERTIAL: _INERTIAL, Frame.HYBRID: _HYBRID}
 
 def christoffel_table(frame: Frame) -> np.ndarray:
     """Dense 6x6x6 array Gamma[m][i][j] (0-based indices) for the frame."""
-    table = _TABLES.get(frame)
+    try:
+        table = _TABLES.get(frame)
+    except TypeError:           # unhashable
+        table = None
     if table is None:
         raise ValidationError(f"frame must be a Frame, got {frame!r}")
     return table
@@ -74,16 +76,9 @@ def christoffel(frame: Frame, m: int, i: int, j: int) -> float:
     return float(christoffel_table(frame)[m - 1, i - 1, j - 1])
 
 
-@dataclass(frozen=True)
-class CorrectionMatrix:
-    """Wrench-contracted connection: matrix[i][j] = Gamma^m_ij F_m."""
-
-    matrix: np.ndarray
-    frame: Frame
-
-
-def correction_matrix(frame: Frame, wrench) -> CorrectionMatrix:
-    """Contract the Christoffel table of the frame with a wrench.
+def correction_matrix(frame: Frame, wrench) -> np.ndarray:
+    """Contract the Christoffel table of the frame with a wrench: the 6x6
+    array C[i][j] = Gamma^m_ij F_m.
 
     For the BODY frame the result matches the standard printed pattern:
     nonzeros only in columns 4-6, with the force block skew(f) and the
@@ -92,5 +87,4 @@ def correction_matrix(frame: Frame, wrench) -> CorrectionMatrix:
     f = np.asarray(wrench, dtype=float)
     if f.shape != (6,):
         raise DimensionMismatch(f"wrench must have 6 components, got {f.shape}")
-    m = (f @ christoffel_table(frame).reshape(6, 36)).reshape(6, 6)
-    return CorrectionMatrix(m, frame)
+    return (f @ christoffel_table(frame).reshape(6, 36)).reshape(6, 6)

@@ -8,6 +8,7 @@ reported work follows the line integral of K x along that orientation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,9 @@ class LoopPath:
 
 @dataclass(frozen=True)
 class EnergyAudit:
+    """Net work of a spring field around a loop; passive if within tolerance."""
+
     net_work: float            # J
-    work_per_area: float       # J/m^2, None for non-planar loops
     passive: bool
 
 
@@ -58,21 +60,13 @@ def circle_path(dimension: int, plane: tuple, radius: float = 1.0,
     return LoopPath(w)
 
 
-def _planar_area(w: np.ndarray) -> float:
-    """Signed shoelace area if the loop varies in exactly two coordinates."""
-    active = np.where(np.ptp(w, axis=0) > 0)[0]
-    if len(active) != 2:
-        return None
-    x, y = w[:, active[0]], w[:, active[1]]
-    return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
-
-
 def loop_work(k, path: LoopPath, tolerance: float = PASSIVE_TOLERANCE) -> EnergyAudit:
     """Net work of the spring force F(x) = K x around a closed path.
 
     Trapezoidal quadrature per segment, which is exact for the linear field
     along straight segments; only the polygonal approximation of a curved
-    orbit contributes error.
+    orbit contributes error.  audit_stiffness does not call it: this is the
+    general-path quadrature that checks the closed form.
     """
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -85,9 +79,7 @@ def loop_work(k, path: LoopPath, tolerance: float = PASSIVE_TOLERANCE) -> Energy
     forces = w @ k.T
     deltas = np.diff(w, axis=0)
     net = float(np.sum(0.5 * (forces[:-1] + forces[1:]) * deltas))
-    area = _planar_area(w)
-    per_area = net / area if area else None
-    return EnergyAudit(net, per_area, abs(net) <= tolerance)
+    return EnergyAudit(net, abs(net) <= tolerance)
 
 
 def audit_stiffness(k, radius: float = 1.0, segments: int = 3600,
@@ -104,7 +96,8 @@ def audit_stiffness(k, radius: float = 1.0, segments: int = 3600,
     rounding, since only the antisymmetric part of K does work around a
     closed loop.  The reported net_work is the first W_ij of largest
     magnitude in row-major plane order.  loop_work over circle_path stays
-    the general-path oracle.  Non-finite entries raise NonFinite.
+    the general-path oracle.  Non-finite entries, and finite ones whose
+    work overflows, raise NonFinite.
     """
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -116,4 +109,6 @@ def audit_stiffness(k, radius: float = 1.0, segments: int = 3600,
     area = 0.5 * segments * radius * radius * np.sin(2.0 * np.pi / segments)
     work = area * np.triu(k.T - k, 1)
     worst = float(work.flat[np.argmax(np.abs(work))]) if k.size else 0.0
-    return EnergyAudit(worst, None, abs(worst) <= tolerance)
+    if not math.isfinite(worst):
+        raise NonFinite(f"loop work overflows: {worst}")
+    return EnergyAudit(worst, abs(worst) <= tolerance)

@@ -78,14 +78,6 @@ class RobotModel:
         return _StaticModelData(self)
 
 
-@dataclass(frozen=True)
-class JacobianDerivative:
-    """Rank-3 array D[alpha][k][beta] = d(J[k][beta]) / d(q[alpha])."""
-
-    tensor: np.ndarray        # (n, 6, n)
-    frame: Frame
-
-
 def _pose_from_doc(doc, path: str) -> se3.Transform:
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected object with rotation/translation")
@@ -95,14 +87,20 @@ def _pose_from_doc(doc, path: str) -> se3.Transform:
     try:
         rot = np.asarray(doc["rotation"], dtype=float).reshape(3, 3)
         trans = np.array(doc["translation"], dtype=float).reshape(3)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+    _check_finite(path, rot, trans)
     t = se3.Transform(rot, trans)
     if t.orthogonality_defect() > 1e-9 or np.linalg.det(rot) < 0:
         raise ValidationError(f"{path}.rotation: not a proper rotation matrix")
     t = t.renormalized()
     _read_only(t.rotation, t.translation)
     return t
+
+
+def _check_finite(path: str, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValidationError(f"{path}: numbers must be finite")
 
 
 def _read_only(*arrays) -> None:
@@ -148,8 +146,9 @@ def load_model(document) -> RobotModel:
             kind = jd["kind"]
             home = _pose_from_doc(jd["home"], f"{path}.home")
             lo, hi = (float(x) for x in jd["limits"])
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise SchemaError(f"{path}: {exc}") from exc
+        _check_finite(f"{path}.axis", axis)
         if kind not in ("revolute", "prismatic"):
             raise ValidationError(f"{path}.kind: must be revolute or prismatic")
         try:
@@ -179,13 +178,14 @@ def load_model(document) -> RobotModel:
             mass = float(ld["mass"])
             com = np.array(ld["com"], dtype=float).reshape(3)
             inertia = np.array(ld["inertia"], dtype=float).reshape(3, 3)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise SchemaError(f"{path}: {exc}") from exc
+        _check_finite(path, mass, com, inertia)
         if mass < 0:
             raise ValidationError(f"{path}.mass: must be >= 0")
         if np.max(np.abs(inertia - inertia.T)) > 1e-9:
             raise ValidationError(f"{path}.inertia: must be symmetric")
-        if np.min(np.linalg.eigvalsh(0.5 * (inertia + inertia.T))) < -1e-12:
+        if np.min(np.linalg.eigvalsh(0.5 * inertia + 0.5 * inertia.T)) < -1e-12:
             raise ValidationError(f"{path}.inertia: must be positive semidefinite")
         _read_only(com, inertia)
         links.append(Link(mass, com, inertia))
@@ -373,14 +373,14 @@ def jacobian(model: RobotModel, q, frame: Frame) -> np.ndarray:
     return _jacobians(model, q, frame).jacobian
 
 
-def jacobian_transpose_derivative(model: RobotModel, q, frame: Frame) -> JacobianDerivative:
-    """Analytic derivative tensor D[alpha][k][beta] = dJ[k][beta]/dq[alpha].
+def jacobian_transpose_derivative(model: RobotModel, q, frame: Frame) -> np.ndarray:
+    """Analytic (n, 6, n) derivative D[alpha][k][beta] = dJ[k][beta]/dq[alpha].
 
     The body derivative is the bracket -ad(J_alpha) J_beta for alpha > beta,
     the spatial one ad(J_alpha) J_beta for alpha < beta, and zero otherwise.
     The hybrid derivative adds the rotation of the base-axes block.
     """
-    return JacobianDerivative(_jacobians(model, q, frame).derivative, frame)
+    return _jacobians(model, q, frame).derivative
 
 
 def mass_matrix(model: RobotModel, q) -> np.ndarray:

@@ -27,11 +27,6 @@ def skew(v) -> np.ndarray:
     ])
 
 
-def unskew(m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 @dataclass(frozen=True)
 class Transform:
     """Rigid-body pose: rotation (3x3, det +1) and translation (m)."""
@@ -98,7 +93,7 @@ def vee(m) -> np.ndarray:
         raise MalformedMatrix("bottom row must be zero")
     if np.max(np.abs(m[:3, :3] + m[:3, :3].T)) > 1e-12:
         raise MalformedMatrix("upper-left 3x3 block must be skew-symmetric")
-    return np.concatenate([m[:3, 3], unskew(m[:3, :3])])
+    return np.concatenate([m[:3, 3], m[[2, 0, 1], [1, 2, 0]]])   # w from skew(w)
 
 
 def exp_twist(axis, angle: float) -> Transform:

@@ -81,35 +81,39 @@ class _SampledPath:
         return out
 
     @classmethod
-    def from_csv(cls, path, prefix: str):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [[float(x) for x in row] for row in reader if row]
-        if not header or header[0] != "t":
-            raise ValidationError(f"{path}: first column must be 't'")
-        for c, name in enumerate(header[1:], start=1):
-            if name != f"{prefix}{c}":
-                raise ValidationError(f"{path}: expected column {prefix}{c}, got {name}")
-        data = np.asarray(rows, dtype=float)
-        return cls(data[:, 0], data[:, 1:])
+    def from_csv(cls, path):
+        """Samples from a CSV headed t,PREFIX1,PREFIX2,..., as to_csv writes
+        it; a malformed file raises a GeostiffError naming it."""
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, [])
+                rows = [[float(x) for x in row] for row in reader if row]
+            if header != ["t"] + [f"{cls.PREFIX}{c}" for c in range(1, len(header))]:
+                raise ValidationError(f"header must be t,{cls.PREFIX}1,..., got {header}")
+            if not rows or any(len(row) != len(header) for row in rows):
+                raise ValidationError(f"need one or more rows of {len(header)} numbers")
+            data = np.array(rows)
+            return cls(data[:, 0], data[:, 1:])
+        except ValueError as exc:       # undecodable text or a non-numeric cell
+            raise ValidationError(f"{path}: {exc}") from exc
+        except GeostiffError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
-    def to_csv(self, path, prefix: str):
-        header = ["t"] + [f"{prefix}{c + 1}" for c in range(self.values.shape[1])]
+    def to_csv(self, path):
+        header = ["t"] + [f"{self.PREFIX}{c + 1}" for c in range(self.values.shape[1])]
         _write_csv(path, header, np.column_stack([self.times, self.values]))
 
 
 class WrenchProfile(_SampledPath):
     """Time series of external wrenches, columns F1..F6."""
 
+    PREFIX = "F"
+
     def __init__(self, times, wrenches):
         super().__init__(times, wrenches)
         if self.values.shape[1] != 6:
             raise DimensionMismatch("wrench samples must have 6 components")
-
-    @classmethod
-    def from_csv(cls, path, prefix: str = "F"):
-        return super().from_csv(path, prefix)
 
     @staticmethod
     def zero(duration: float) -> "WrenchProfile":
@@ -124,9 +128,7 @@ class WrenchProfile(_SampledPath):
 class JointPath(_SampledPath):
     """Time series of equilibrium joint configurations, columns q1..qn."""
 
-    @classmethod
-    def from_csv(cls, path, prefix: str = "q"):
-        return super().from_csv(path, prefix)
+    PREFIX = "q"
 
     @staticmethod
     def constant(q, duration: float) -> "JointPath":
@@ -171,24 +173,20 @@ def _write_csv(path, header, data):
 def design_damping(k_joint, m_inertia, damping_ratio: float) -> np.ndarray:
     """Double-diagonalization damping: B = 2 zeta M^1/2 (M^-1/2 K M^-1/2)^1/2 M^1/2.
 
-    K must be symmetric PSD (small negative eigenvalues down to -1e-9 are
-    clamped to zero); M must be SPD.  This function checks both with its own
-    eigen-solves.  The simulator step runs the same design
-    (_damping_from_factor) without them: it reuses the eigen-factorisation
-    of M that full_kinematics made for its positive-definiteness check, and
-    decides the PSD check of K from the spectrum of the design's own eigh
-    (_check_psd_congruent).
+    M must be SPD, else NonPositiveDefinite; it is checked first, so a bad
+    M wins over a bad K.  Then this is the simulator step's own design,
+    _damping_from_factor, with its PSD rule for the symmetric part of K
+    (NegativeEigenvalue below -1e-9; smaller negative eigenvalues are
+    clamped to zero).
     """
     k = np.asarray(k_joint, dtype=float)
     m = np.asarray(m_inertia, dtype=float)
     if k.shape != m.shape or k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise DimensionMismatch("stiffness and inertia must be square and same size")
-    k = 0.5 * (k + k.T)
-    _check_psd(np.linalg.eigvalsh(k)[0])
     m_vals, m_vecs = np.linalg.eigh(0.5 * (m + m.T))
     if m_vals[0] <= 0:
         raise NonPositiveDefinite("inertia matrix must be positive definite")
-    return _damping_from_factor(k, m_vals, m_vecs, damping_ratio)[0]
+    return _damping_from_factor(0.5 * (k + k.T), m_vals, m_vecs, damping_ratio)
 
 
 def _check_psd(k_min: float) -> None:
@@ -208,7 +206,7 @@ def _check_psd_congruent(k_sym, mu_min: float, m_vals) -> None:
     the rounding of forming A^T K_sym A (at most ~2 n^2 eps ||K||_F / m_min
     with ||A||_F^2 <= n / m_min), of its eigh, and of the eigvalsh of K_sym
     that this check stands in for.  Every other case, each rejection
-    included, is decided by that eigvalsh, as in design_damping.
+    included, is decided by that eigvalsh.
     """
     n = len(m_vals)
     k_flat = k_sym.ravel()
@@ -217,20 +215,22 @@ def _check_psd_congruent(k_sym, mu_min: float, m_vals) -> None:
         _check_psd(np.linalg.eigvalsh(k_sym)[0])
 
 
-def _damping_from_factor(k_sym, m_vals, m_vecs, damping_ratio: float) -> tuple:
-    """Damping design for symmetric K and SPD M = V diag(m_vals) V^T.
+def _damping_from_factor(k_sym, m_vals, m_vecs, damping_ratio: float) -> np.ndarray:
+    """Damping B for symmetric PSD K and SPD M = V diag(m_vals) V^T.
 
     With A = V diag(m_vals)^-1/2, the matrix M^-1/2 K M^-1/2 equals
     V (A^T K A) V^T, so it shares the spectrum mu and, rotated by V, the
     eigenvectors U of A^T K A.  Then B = 2 zeta Z Z^T with
     Z = V diag(m_vals)^1/2 U diag(mu)^1/4, negative mu clamped to zero.
-    Returns (B, mu), mu ascending.
+    mu decides the PSD check of K (_check_psd_congruent, NegativeEigenvalue
+    if K fails), with eigvalsh(K) where it cannot.
     """
     root = np.sqrt(m_vals)
     a = m_vecs / root
     mu, u = np.linalg.eigh(a.T @ k_sym @ a)    # reads the lower triangle only
+    _check_psd_congruent(k_sym, mu[0], m_vals)
     z = (m_vecs * root) @ u * np.maximum(mu, 0.0) ** 0.25
-    return (2.0 * damping_ratio) * (z @ z.T), mu
+    return (2.0 * damping_ratio) * (z @ z.T)
 
 
 def _wrench_in_frame(f_hybrid, pose, frame: Frame) -> np.ndarray:
@@ -255,15 +255,17 @@ def simulate(model, controller: ControllerConfig, q0_trajectory: JointPath,
     sigma columns are computed after the loop from the stored stiffness of
     every step, in batches of _DIAGNOSTIC_CHUNK steps.
     """
-    if duration <= 0:
-        raise ValidationError("duration must be positive")
+    span = duration * controller.rate
+    steps = int(round(span)) if math.isfinite(span) else 0
+    if steps <= 0:
+        raise ValidationError(
+            f"duration {duration} s gives no step at {controller.rate:g} Hz")
     n = model.n
     if q0_trajectory.values.shape[1] != n:
         raise DimensionMismatch(
             f"trajectory has {q0_trajectory.values.shape[1]} columns, model has {n} joints"
         )
     dt = 1.0 / controller.rate
-    steps = int(round(duration * controller.rate))
     frame = controller.frame
 
     times = np.arange(steps) * dt
@@ -292,8 +294,7 @@ def simulate(model, controller: ControllerConfig, q0_trajectory: JointPath,
             )
             k_sym = 0.5 * (k_joint + k_joint.T)
             m_vals, m_vecs = kin.mass_eigvals, kin.mass_eigvecs
-            b, mu = _damping_from_factor(k_sym, m_vals, m_vecs, controller.damping_ratio)
-            _check_psd_congruent(k_sym, mu[0], m_vals)
+            b = _damping_from_factor(k_sym, m_vals, m_vecs, controller.damping_ratio)
             tau = k_joint @ (q0_samples[k] - q) - b @ qd
 
             out_q[k] = q

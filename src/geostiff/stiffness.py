@@ -9,13 +9,14 @@ make it asymmetric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import robot as robot_mod
 from .connection import Frame, correction_matrix
-from .errors import DimensionMismatch, FrameMismatch, NotSquare
+from .errors import DimensionMismatch, FrameMismatch, NonFinite, NotSquare
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,10 @@ class TaskStiffness:
         h = np.asarray(self.hessian, dtype=float)
         if h.shape != (6, 6):
             raise DimensionMismatch(f"task stiffness must be 6x6, got {h.shape}")
-        if np.linalg.norm(h - h.T) > 1e-9 * max(1.0, np.linalg.norm(h)):
+        scale = np.linalg.norm(h)
+        if not math.isfinite(scale):
+            raise NonFinite(f"task stiffness must be finite, its norm is {scale}")
+        if np.linalg.norm(h - h.T) > 1e-9 * max(1.0, scale):
             raise DimensionMismatch("task stiffness must be symmetric")
         object.__setattr__(self, "hessian", h)
 
@@ -54,9 +58,6 @@ class TaskStiffness:
 @dataclass(frozen=True)
 class JointStiffness:
     matrix: np.ndarray
-    with_correction: bool
-    frame: Frame
-    wrench_snapshot: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,20 +65,6 @@ class SymmetryReport:
     sigma_max_sym: float
     sigma_max_asym: float
     asym_ratio: float
-
-
-def task_stiffness_corrected(hessian: TaskStiffness, wrench, frame: Frame = None) -> np.ndarray:
-    """Task-space stiffness including the basis-change correction Gamma F.
-
-    Generally asymmetric when the wrench carries moment components.
-    """
-    if frame is None:
-        frame = hessian.frame
-    elif frame != hessian.frame:
-        raise FrameMismatch(
-            f"task stiffness is {hessian.frame.value}, connection is {frame.value}"
-        )
-    return hessian.hessian + correction_matrix(frame, wrench).matrix
 
 
 def kinematic_stiffness(model, q, wrench, frame: Frame) -> np.ndarray:
@@ -96,7 +83,7 @@ def assemble_joint_stiffness(jac, d_tensor, hessian_matrix, wrench, frame: Frame
     k_kin = (f @ d_tensor).T
     task = hessian_matrix
     if with_correction:
-        task = task + correction_matrix(frame, f).matrix
+        task = task + correction_matrix(frame, f)
     return k_kin + jac.T @ task @ jac
 
 
@@ -119,7 +106,7 @@ def joint_stiffness(model, q, hessian: TaskStiffness, wrench, frame: Frame,
     matrix = assemble_joint_stiffness(
         kin.jacobian, kin.derivative, hessian.hessian, f, frame, with_correction
     )
-    return JointStiffness(matrix, with_correction, frame, f)
+    return JointStiffness(matrix)
 
 
 def _square(m) -> np.ndarray:

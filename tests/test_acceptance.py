@@ -78,7 +78,7 @@ def test_criterion_2_christoffel_table():
 def test_criterion_3_correction_matrix_pattern():
     for _ in range(100):
         f = RNG.normal(scale=20.0, size=6)
-        out = correction_matrix(Frame.BODY, f).matrix
+        out = correction_matrix(Frame.BODY, f)
         expected = np.zeros((6, 6))
         expected[:3, 3:] = se3.skew(f[:3])
         expected[3:, 3:] = 0.5 * se3.skew(f[3:])
@@ -103,7 +103,7 @@ def test_criterion_4_3r_closed_forms():
         assert np.abs(k_kin - expected_kin).max() <= 1e-12
 
         jac = robot.jacobian(model, q, Frame.HYBRID)
-        sandwich = jac.T @ correction_matrix(Frame.HYBRID, wrench).matrix @ jac
+        sandwich = jac.T @ correction_matrix(Frame.HYBRID, wrench) @ jac
         expected_corr = np.array([[0, a, a], [-a, 0, 0], [-a, 0, 0]])
         assert np.abs(sandwich - expected_corr).max() <= 1e-12
 
@@ -153,7 +153,7 @@ def test_criterion_6_jacobian_derivative_oracle():
         for trial in range(200):
             frame = Frame.BODY if trial % 2 == 0 else Frame.HYBRID
             q = random_q(RNG, model)
-            d = robot.jacobian_transpose_derivative(model, q, frame).tensor
+            d = robot.jacobian_transpose_derivative(model, q, frame)
             for alpha in range(n):
                 dq = np.zeros(n)
                 dq[alpha] = step
@@ -251,7 +251,7 @@ def test_criterion_9_index_vs_matrix_assembly():
             model, q, st.TaskStiffness(h, frame), f, frame, True).matrix
 
         jac = robot.jacobian(model, q, frame)
-        d = robot.jacobian_transpose_derivative(model, q, frame).tensor
+        d = robot.jacobian_transpose_derivative(model, q, frame)
         gamma = christoffel_table(frame)
         index_form = np.zeros((n, n))
         for alpha in range(n):

@@ -83,11 +83,11 @@ class TestChristoffelTable:
 
 class TestCorrectionMatrix:
     def test_zero_wrench(self):
-        assert np.array_equal(correction_matrix(Frame.BODY, np.zeros(6)).matrix,
+        assert np.array_equal(correction_matrix(Frame.BODY, np.zeros(6)),
                               np.zeros((6, 6)))
 
     def test_body_unit_moment_about_z(self):
-        m = correction_matrix(Frame.BODY, [0, 0, 0, 0, 0, 1]).matrix
+        m = correction_matrix(Frame.BODY, [0, 0, 0, 0, 0, 1])
         expected = np.zeros((6, 6))
         expected[3, 4] = -0.5
         expected[4, 3] = 0.5
@@ -96,17 +96,17 @@ class TestCorrectionMatrix:
     def test_inertial_is_transpose_of_body(self, rng):
         for _ in range(20):
             f = rng.normal(size=6)
-            body = correction_matrix(Frame.BODY, f).matrix
-            inertial = correction_matrix(Frame.INERTIAL, f).matrix
+            body = correction_matrix(Frame.BODY, f)
+            inertial = correction_matrix(Frame.INERTIAL, f)
             assert np.array_equal(inertial, body.T)
 
     def test_body_first_three_columns_zero(self, rng):
         f = rng.normal(size=6)
-        assert np.count_nonzero(correction_matrix(Frame.BODY, f).matrix[:, :3]) == 0
+        assert np.count_nonzero(correction_matrix(Frame.BODY, f)[:, :3]) == 0
 
     def test_rotational_block_antisymmetric(self, rng):
         f = rng.normal(size=6)
-        block = correction_matrix(Frame.BODY, f).matrix[3:, 3:]
+        block = correction_matrix(Frame.BODY, f)[3:, 3:]
         assert np.array_equal(block, -block.T)
 
     def test_matches_brute_force_contraction(self, rng):
@@ -119,7 +119,7 @@ class TestCorrectionMatrix:
                     for j in range(6):
                         for m in range(6):
                             expected[i, j] += table[m, i, j] * f[m]
-                assert np.abs(correction_matrix(frame, f).matrix - expected).max() < 1e-15
+                assert np.abs(correction_matrix(frame, f) - expected).max() < 1e-15
 
     def test_rejects_short_wrench(self):
         with pytest.raises(DimensionMismatch):
@@ -137,7 +137,7 @@ class TestFrameParse:
             Frame.parse("spatialish")
 
 
-@pytest.mark.parametrize("frame", ["body", None])
+@pytest.mark.parametrize("frame", ["body", None, ["body"]])
 @pytest.mark.parametrize("lookup", [
     christoffel_table,
     lambda frame: christoffel(frame, 1, 1, 1),

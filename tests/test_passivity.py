@@ -69,8 +69,6 @@ class TestLoopWork:
         area = np.pi * r * r
         expected = (k[2, 0] - k[0, 2]) * area
         assert audit.net_work == pytest.approx(expected, abs=1e-3)
-        # per-area uses the polygon's own (shoelace) area, slightly under pi r^2
-        assert audit.work_per_area == pytest.approx(audit.net_work / area, rel=1e-4)
 
     def test_symmetric_part_is_irrelevant(self, rng):
         k = rng.normal(size=(3, 3))

@@ -43,14 +43,16 @@ class TestTaskStiffness:
 
 
 class TestTaskStiffnessCorrected:
+    """The corrected task stiffness H + Gamma F."""
+
     def test_zero_wrench_returns_hessian(self, rng):
         ts = st.TaskStiffness(random_psd_hessian(rng), Frame.BODY)
-        out = st.task_stiffness_corrected(ts, np.zeros(6))
+        out = ts.hessian + correction_matrix(Frame.BODY, np.zeros(6))
         assert np.array_equal(out, ts.hessian)
 
     def test_zero_hessian_gives_correction_pattern(self):
         ts = st.TaskStiffness(np.zeros((6, 6)), Frame.BODY)
-        out = st.task_stiffness_corrected(ts, [0, 0, 0, 0, 0, 1])
+        out = ts.hessian + correction_matrix(Frame.BODY, [0, 0, 0, 0, 0, 1])
         expected = np.zeros((6, 6))
         expected[3, 4] = -0.5
         expected[4, 3] = 0.5
@@ -58,15 +60,15 @@ class TestTaskStiffnessCorrected:
 
     def test_force_along_z_entries(self):
         ts = st.TaskStiffness(100.0 * np.eye(6), Frame.BODY)
-        out = st.task_stiffness_corrected(ts, [0, 0, 10.0, 0, 0, 0])
+        out = ts.hessian + correction_matrix(Frame.BODY, [0, 0, 10.0, 0, 0, 0])
         assert out[0, 4] == -10.0
         assert out[1, 3] == 10.0
         assert np.array_equal(np.diag(out), 100.0 * np.ones(6))
 
-    def test_frame_mismatch(self, rng):
+    def test_frame_mismatch(self, rng, anthro3r):
         ts = st.TaskStiffness(random_psd_hessian(rng), Frame.BODY)
         with pytest.raises(FrameMismatch):
-            st.task_stiffness_corrected(ts, np.zeros(6), Frame.HYBRID)
+            st.joint_stiffness(anthro3r, np.zeros(3), ts, np.zeros(6), Frame.HYBRID)
 
 
 class TestKinematicStiffness:
@@ -165,8 +167,8 @@ class TestJointStiffness:
                         model, q, hessian, f, frame, with_correction=True
                     ).matrix
                     jac = robot.jacobian(model, q, frame)
-                    d = robot.jacobian_transpose_derivative(model, q, frame).tensor
-                    gamma = correction_matrix(frame, f).matrix
+                    d = robot.jacobian_transpose_derivative(model, q, frame)
+                    gamma = correction_matrix(frame, f)
                     n = model.n
                     index_form = np.zeros((n, n))
                     for alpha in range(n):
