@@ -31,14 +31,8 @@ from .robot import (
 )
 from .se3 import (
     STRUCTURE_CONSTANTS,
-    Transform,
-    adjoint,
-    ad,
-    exp_twist,
-    hat,
     skew,
     structure_constant,
-    vee,
 )
 from .sim import (
     ControllerConfig,
@@ -85,14 +79,8 @@ __all__ = [
     "load_model_file",
     "mass_matrix",
     "STRUCTURE_CONSTANTS",
-    "Transform",
-    "adjoint",
-    "ad",
-    "exp_twist",
-    "hat",
     "skew",
     "structure_constant",
-    "vee",
     "ControllerConfig",
     "JointPath",
     "SimTrace",

@@ -86,10 +86,7 @@ def _cmd_stiffness(args) -> int:
         hessian = st.TaskStiffness(np.zeros((6, 6)), frame)
     result = st.joint_stiffness(model, q, hessian, wrench, frame,
                                 with_correction=args.correction)
-    try:
-        report = st.symmetry_report(result.matrix)
-    except np.linalg.LinAlgError as exc:    # an entry, or its square, overflows
-        raise NonFinite(f"joint stiffness overflows for these inputs: {exc}") from exc
+    report = st.symmetry_report(result.matrix)
     payload = {
         "inputs_echo": {
             "model": args.model,
@@ -287,7 +284,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow surfaces once, as a NonFinite, not also as a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (GeostiffError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,11 @@ Three coordinate conventions are supported:
                velocity in inertial axes): the rotational symbols are the
                index-swapped ones, the translational symbols vanish because
                the hybrid linear coordinate is genuinely Cartesian.
+
+These are the symbols of the chart x = (translation, SO(3) log) of the pose
+T relative to the current pose T_s: T_s^-1 T for BODY, T T_s^-1 for
+INERTIAL, and (p - p_s, log(R R_s^T)) for HYBRID.  In it the corrected
+joint stiffness is the Hessian of the potential 1/2 x^T H x + F^T x.
 """
 
 from __future__ import annotations

@@ -5,14 +5,6 @@ class GeostiffError(Exception):
     """Base class for all library errors."""
 
 
-class MalformedMatrix(GeostiffError):
-    """A 4x4 matrix does not have the hat structure."""
-
-
-class BadAxis(GeostiffError):
-    """A joint axis is neither a unit-rotation nor a unit-translation screw."""
-
-
 class IndexOutOfRange(GeostiffError):
     """A tensor index is outside 1..6."""
 

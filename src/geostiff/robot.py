@@ -1,13 +1,14 @@
 """Serial-chain robot model: loading, kinematics, Jacobians and inertia.
 
 Kinematics use a local product-of-exponentials: each joint carries a fixed
-home transform from its parent frame and a unit screw axis expressed in its
+home pose from its parent frame and a unit screw axis expressed in its
 own frame, so the pose after joint i is
 
     T_0i = T_0(i-1) * home_i * exp(axis_i * q_i)
 
 and the end-effector pose appends a fixed offset.  Link i (mass, com,
-inertia) is expressed in the frame of joint i after motion.
+inertia) is expressed in the frame of joint i after motion.  Every pose,
+those of the model included, is a (4, 4) array [[R, p], [0, 1]].
 
 All kinematics come from one batched pass in three stages: link poses
 (_frames), Jacobians (_jacobians), and the mass matrix with its
@@ -28,7 +29,6 @@ import numpy as np
 from . import se3
 from .connection import Frame
 from .errors import (
-    BadAxis,
     DimensionMismatch,
     NonFinite,
     NonPositiveDefinite,
@@ -46,7 +46,7 @@ _TOP_KEYS = {"name", "joints", "links", "end_effector"}
 class Joint:
     axis: np.ndarray          # unit screw, 6-vector, joint frame
     kind: str                 # "revolute" | "prismatic"
-    home: se3.Transform       # parent frame -> joint frame
+    home: np.ndarray          # 4x4 pose, parent frame -> joint frame
     limit_lower: float
     limit_upper: float
 
@@ -63,7 +63,7 @@ class RobotModel:
     name: str
     joints: tuple
     links: tuple
-    end_effector: se3.Transform
+    end_effector: np.ndarray  # 4x4 pose, last joint frame -> end effector
 
     @property
     def n(self) -> int:
@@ -78,34 +78,36 @@ class RobotModel:
         return _StaticModelData(self)
 
 
-def _pose_from_doc(doc, path: str) -> se3.Transform:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected object with rotation/translation")
-    unknown = set(doc) - _POSE_KEYS
-    if unknown:
-        raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
+def _pose_from_doc(doc, path: str) -> np.ndarray:
+    """Read-only 4x4 pose; its rotation is projected onto SO(3) by SVD."""
+    _check_object(doc, _POSE_KEYS, path)
     try:
         rot = np.asarray(doc["rotation"], dtype=float).reshape(3, 3)
         trans = np.array(doc["translation"], dtype=float).reshape(3)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     _check_finite(path, rot, trans)
-    t = se3.Transform(rot, trans)
-    if t.orthogonality_defect() > 1e-9 or np.linalg.det(rot) < 0:
+    if np.linalg.norm(rot.T @ rot - np.eye(3)) > 1e-9 or np.linalg.det(rot) < 0:
         raise ValidationError(f"{path}.rotation: not a proper rotation matrix")
-    t = t.renormalized()
-    _read_only(t.rotation, t.translation)
-    return t
+    u, _, vt = np.linalg.svd(rot)
+    pose = np.eye(4)
+    pose[:3, :3] = u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
+    pose[:3, 3] = trans
+    pose.setflags(write=False)
+    return pose
+
+
+def _check_object(doc, keys: set, path: str) -> None:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected object")
+    unknown = set(doc) - keys
+    if unknown:
+        raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
 
 
 def _check_finite(path: str, *arrays) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValidationError(f"{path}: numbers must be finite")
-
-
-def _read_only(*arrays) -> None:
-    for a in arrays:
-        a.setflags(write=False)
 
 
 def load_model(document) -> RobotModel:
@@ -122,11 +124,7 @@ def load_model(document) -> RobotModel:
             raise SchemaError(f"invalid JSON: {exc}") from exc
     else:
         doc = document
-    if not isinstance(doc, dict):
-        raise SchemaError("top level: expected a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise SchemaError(f"top level: unknown keys {sorted(unknown)}")
+    _check_object(doc, _TOP_KEYS, "top level")
     for key in _TOP_KEYS:
         if key not in doc:
             raise SchemaError(f"top level: missing key '{key}'")
@@ -136,11 +134,7 @@ def load_model(document) -> RobotModel:
         raise ValidationError("joints: need at least one joint")
     for idx, jd in enumerate(doc["joints"]):
         path = f"joints[{idx}]"
-        if not isinstance(jd, dict):
-            raise SchemaError(f"{path}: expected object")
-        unknown = set(jd) - _JOINT_KEYS
-        if unknown:
-            raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
+        _check_object(jd, _JOINT_KEYS, path)
         try:
             axis = np.array(jd["axis"], dtype=float).reshape(6)
             kind = jd["kind"]
@@ -151,17 +145,13 @@ def load_model(document) -> RobotModel:
         _check_finite(f"{path}.axis", axis)
         if kind not in ("revolute", "prismatic"):
             raise ValidationError(f"{path}.kind: must be revolute or prismatic")
-        try:
-            se3.exp_twist(axis, 0.0)
-        except BadAxis as exc:
-            raise ValidationError(f"{path}.axis: {exc}") from exc
-        if kind == "prismatic" and np.linalg.norm(axis[3:]) > 1e-9:
-            raise ValidationError(f"{path}.axis: prismatic axis must have zero angular part")
-        if kind == "revolute" and abs(np.linalg.norm(axis[3:]) - 1.0) > 1e-9:
-            raise ValidationError(f"{path}.axis: revolute axis must have unit angular part")
+        # revolute: unit angular part; prismatic: zero angular, unit linear part
+        lin, ang = np.linalg.norm(axis[:3]), np.linalg.norm(axis[3:])
+        if (abs(ang - 1.0) if kind == "revolute" else max(ang, abs(lin - 1.0))) > 1e-9:
+            raise ValidationError(f"{path}.axis: not a unit {kind} screw")
         if not lo <= hi:
             raise ValidationError(f"{path}.limits: lower bound exceeds upper bound")
-        _read_only(axis)
+        axis.setflags(write=False)
         joints.append(Joint(axis, kind, home, lo, hi))
 
     links = []
@@ -169,11 +159,7 @@ def load_model(document) -> RobotModel:
         raise ValidationError("links: need exactly one link per joint")
     for idx, ld in enumerate(doc["links"]):
         path = f"links[{idx}]"
-        if not isinstance(ld, dict):
-            raise SchemaError(f"{path}: expected object")
-        unknown = set(ld) - _LINK_KEYS
-        if unknown:
-            raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
+        _check_object(ld, _LINK_KEYS, path)
         try:
             mass = float(ld["mass"])
             com = np.array(ld["com"], dtype=float).reshape(3)
@@ -187,7 +173,8 @@ def load_model(document) -> RobotModel:
             raise ValidationError(f"{path}.inertia: must be symmetric")
         if np.min(np.linalg.eigvalsh(0.5 * inertia + 0.5 * inertia.T)) < -1e-12:
             raise ValidationError(f"{path}.inertia: must be positive semidefinite")
-        _read_only(com, inertia)
+        com.setflags(write=False)
+        inertia.setflags(write=False)
         links.append(Link(mass, com, inertia))
 
     ee = _pose_from_doc(doc["end_effector"], "end_effector")
@@ -217,10 +204,15 @@ def _check_dim(model: RobotModel, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (model.n,):
         raise DimensionMismatch(f"expected q of length {model.n}, got shape {q.shape}")
-    # a finite sum means finite entries, and is the cheaper test per step
-    if not math.isfinite(sum(q.tolist())) and not np.isfinite(q).all():
-        raise NonFinite(f"q must be finite, got {q.tolist()}")
+    _require_finite("q", q)
     return q
+
+
+def _require_finite(name: str, x: np.ndarray) -> None:
+    """Raise NonFinite unless every entry of the array x is finite."""
+    # a finite sum means finite entries, and is the cheaper test on small arrays
+    if not math.isfinite(sum(x.ravel().tolist())) and not np.isfinite(x).all():
+        raise NonFinite(f"{name} must be finite, got {x.tolist()}")
 
 
 def _spatial_inertia(link: Link) -> np.ndarray:
@@ -236,7 +228,7 @@ def _spatial_inertia(link: Link) -> np.ndarray:
 
 # skew(x) and ad(x) are linear in x: x @ basis gives them flattened
 _SKEW_BASIS = np.stack([se3.skew(e).ravel() for e in np.eye(3)])      # (3,9)
-_AD_BASIS = np.stack([se3.ad(e).ravel() for e in np.eye(6)])          # (6,36)
+_AD_BASIS = se3.STRUCTURE_CONSTANTS.transpose(1, 0, 2).reshape(6, 36)  # ad(e_i)[k,j] = C^k_ij
 
 
 class _StaticModelData:
@@ -256,11 +248,11 @@ class _StaticModelData:
             terms[i, :, :3, :3] = [np.eye(3) + w_hat2, zero, -w_hat2, w_hat]
             terms[i, :, :3, 3] = [w_hat @ v, v + w_hat2 @ v, -w_hat @ v, -w_hat2 @ v]
         terms[:, 0, 3, 3] = 1.0
-        home = np.stack([j.home.matrix() for j in model.joints])
+        home = np.stack([j.home for j in model.joints])
         local = home[:, None] @ terms
         # home_i exp(axis_i q_i) = local_const[i] + [q, c, s] @ local_basis[i];
         # entry n of local_const is the fixed end-effector offset
-        self.local_const = np.concatenate((local[:, 0], model.end_effector.matrix()[None]))
+        self.local_const = np.concatenate((local[:, 0], model.end_effector[None]))
         self.local_basis = local[:, 1:].reshape(n, 3, 16)
         self.axes = np.stack([j.axis for j in model.joints])[:, :, None]   # (n,6,1)
         self.inertias = np.stack([_spatial_inertia(l) for l in model.links])
@@ -358,9 +350,9 @@ def _mass(model: RobotModel, q, kin: _Jacobians) -> tuple:
     return m, m_vals, m_vecs
 
 
-def forward_kinematics(model: RobotModel, q) -> se3.Transform:
-    """End-effector pose in the base frame."""
-    return se3.Transform.from_matrix(_frames(model, q)[-1])
+def forward_kinematics(model: RobotModel, q) -> np.ndarray:
+    """End-effector pose in the base frame, a 4x4 array."""
+    return _frames(model, q)[-1]
 
 
 def jacobian(model: RobotModel, q, frame: Frame) -> np.ndarray:
@@ -402,7 +394,7 @@ class KinematicsBundle:
     every later use of M^(1/2), M^(-1/2) and M^-1 at this configuration.
     """
 
-    pose: se3.Transform
+    pose: np.ndarray          # 4x4 end-effector pose, base frame
     jacobian: np.ndarray      # 6xn, requested frame
     derivative: np.ndarray    # (n,6,n), requested frame
     mass: np.ndarray          # nxn
@@ -419,5 +411,5 @@ def full_kinematics(model: RobotModel, q, frame: Frame) -> KinematicsBundle:
     design and acceleration solve.
     """
     kin = _jacobians(model, q, frame)
-    return KinematicsBundle(se3.Transform.from_matrix(kin.frames[-1]), kin.jacobian,
-                            kin.derivative, *_mass(model, q, kin))
+    return KinematicsBundle(kin.frames[-1], kin.jacobian, kin.derivative,
+                            *_mass(model, q, kin))

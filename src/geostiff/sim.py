@@ -65,8 +65,8 @@ class _SampledPath:
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or values.ndim != 2 or len(times) != len(values):
             raise DimensionMismatch("times and samples must have matching lengths")
-        if np.any(np.diff(times) <= 0):
-            raise ValidationError("sample times must be strictly increasing")
+        if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
+            raise ValidationError("sample times must be finite and strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ValidationError("samples must be finite")
         self.times = times
@@ -173,16 +173,18 @@ def _write_csv(path, header, data):
 def design_damping(k_joint, m_inertia, damping_ratio: float) -> np.ndarray:
     """Double-diagonalization damping: B = 2 zeta M^1/2 (M^-1/2 K M^-1/2)^1/2 M^1/2.
 
-    M must be SPD, else NonPositiveDefinite; it is checked first, so a bad
-    M wins over a bad K.  Then this is the simulator step's own design,
-    _damping_from_factor, with its PSD rule for the symmetric part of K
-    (NegativeEigenvalue below -1e-9; smaller negative eigenvalues are
-    clamped to zero).
+    M and K must be finite (NonFinite) and M must be SPD (NonPositiveDefinite);
+    M is checked first, so a bad M wins over a bad K.  Then this is the
+    simulator step's own design, _damping_from_factor, with its PSD rule for
+    the symmetric part of K (NegativeEigenvalue below -1e-9; smaller
+    negative eigenvalues are clamped to zero).
     """
     k = np.asarray(k_joint, dtype=float)
     m = np.asarray(m_inertia, dtype=float)
     if k.shape != m.shape or k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise DimensionMismatch("stiffness and inertia must be square and same size")
+    robot_mod._require_finite("inertia", m)
+    robot_mod._require_finite("stiffness", k)
     m_vals, m_vecs = np.linalg.eigh(0.5 * (m + m.T))
     if m_vals[0] <= 0:
         raise NonPositiveDefinite("inertia matrix must be positive definite")
@@ -240,9 +242,9 @@ def _wrench_in_frame(f_hybrid, pose, frame: Frame) -> np.ndarray:
     if frame == Frame.INERTIAL:
         # same force; moment about the base origin, m + p x f
         f = f_hybrid[:3]
-        return np.concatenate((f, f_hybrid[3:] + se3.skew(pose.translation) @ f))
+        return np.concatenate((f, f_hybrid[3:] + se3.skew(pose[:3, 3]) @ f))
     # body: force and moment rows f^T R are (R^T f)^T
-    return (f_hybrid.reshape(2, 3) @ pose.rotation).ravel()
+    return (f_hybrid.reshape(2, 3) @ pose[:3, :3]).ravel()
 
 
 def simulate(model, controller: ControllerConfig, q0_trajectory: JointPath,
@@ -331,7 +333,7 @@ def semicircle_trajectory(model, q_start, duration: float, radius: float = 0.1,
     seeded with the previous sample.
     """
     q = np.asarray(q_start, dtype=float).copy()
-    p_start = robot_mod.forward_kinematics(model, q).translation
+    p_start = robot_mod.forward_kinematics(model, q)[:3, 3]
     center = p_start - np.array([radius, 0.0, 0.0])
     angles = np.linspace(0.0, np.pi, samples)
     times = np.linspace(0.0, duration, samples)
@@ -340,8 +342,7 @@ def semicircle_trajectory(model, q_start, duration: float, radius: float = 0.1,
     for s, ang in enumerate(angles):
         target = center + radius * np.array([np.cos(ang), np.sin(ang), 0.0])
         for _ in range(max_iters):
-            pose = robot_mod.forward_kinematics(model, q)
-            err = target - pose.translation
+            err = target - robot_mod.forward_kinematics(model, q)[:3, 3]
             if np.linalg.norm(err) < tol:
                 break
             jp = robot_mod.jacobian(model, q, Frame.HYBRID)[:3]

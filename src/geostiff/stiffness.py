@@ -72,6 +72,7 @@ def kinematic_stiffness(model, q, wrench, frame: Frame) -> np.ndarray:
     f = np.asarray(wrench, dtype=float)
     if f.shape != (6,):
         raise DimensionMismatch(f"wrench must have 6 components, got {f.shape}")
+    robot_mod._require_finite("wrench", f)
     # entry (i, j) = sum_k dJ[k][i]/dq_j * F_k
     return (f @ robot_mod._jacobians(model, q, frame).derivative).T
 
@@ -102,6 +103,7 @@ def joint_stiffness(model, q, hessian: TaskStiffness, wrench, frame: Frame,
     f = np.asarray(wrench, dtype=float)
     if f.shape != (6,):
         raise DimensionMismatch(f"wrench must have 6 components, got {f.shape}")
+    robot_mod._require_finite("wrench", f)
     kin = robot_mod._jacobians(model, q, frame)     # no mass matrix needed
     matrix = assemble_joint_stiffness(
         kin.jacobian, kin.derivative, hessian.hessian, f, frame, with_correction
@@ -127,12 +129,19 @@ def symmetry_report(m) -> SymmetryReport:
     """Largest singular values of the symmetric and antisymmetric parts.
 
     The simulator logs the same two values for a whole run at once: both
-    come from _sigma_max, here on a stack of one matrix.
+    come from _sigma_max, here on a stack of one matrix.  Raises NonFinite
+    for a non-finite matrix, or when sigma overflows (entries above ~1e154).
     """
     m = _square(m)
     if m.size == 0:
         return SymmetryReport(0.0, 0.0, 0.0)
-    s_sym, s_asym = (float(s[0]) for s in _sigma_max(m[None]))
+    robot_mod._require_finite("matrix", m)
+    try:
+        s_sym, s_asym = (float(s[0]) for s in _sigma_max(m[None]))
+    except np.linalg.LinAlgError as exc:
+        raise NonFinite(f"sigma_max overflows for this matrix: {exc}") from exc
+    if not math.isfinite(s_sym + s_asym):
+        raise NonFinite(f"sigma_max overflows for this matrix: {s_sym}, {s_asym}")
     return SymmetryReport(s_sym, s_asym, s_asym / max(s_sym, 1e-12))
 
 

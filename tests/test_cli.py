@@ -39,15 +39,15 @@ class TestModelValidate:
             "name": src.name,
             "joints": [{
                 "axis": j.axis.tolist(), "kind": j.kind,
-                "home": {"rotation": j.home.rotation.ravel().tolist(),
-                         "translation": j.home.translation.tolist()},
+                "home": {"rotation": j.home[:3, :3].ravel().tolist(),
+                         "translation": j.home[:3, 3].tolist()},
                 "limits": [j.limit_lower, j.limit_upper],
             } for j in src.joints],
             "links": [{"mass": l.mass, "com": l.com.tolist(),
                        "inertia": l.inertia.ravel().tolist()} for l in src.links],
             "end_effector": {
-                "rotation": src.end_effector.rotation.ravel().tolist(),
-                "translation": src.end_effector.translation.tolist()},
+                "rotation": src.end_effector[:3, :3].ravel().tolist(),
+                "translation": src.end_effector[:3, 3].tolist()},
         }
 
     def test_explicit_file(self, capsys, tmp_path, iiwa7):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from geostiff import robot, se3, stiffness as st
+from geostiff import robot, stiffness as st
 from geostiff.connection import Frame, correction_matrix
 from geostiff.errors import (
     DimensionMismatch,
@@ -18,6 +18,8 @@ from geostiff.errors import (
 
 from conftest import random_q
 from oracles import (
+    Transform,
+    adjoint,
     brute_force_fk,
     crba_mass_matrix,
     jacobian_central_difference,
@@ -65,15 +67,15 @@ class TestLoadModel:
         assert all(j.kind == "revolute" for j in iiwa7.joints)
 
     def test_iiwa7_reach(self, iiwa7):
-        total = sum(np.linalg.norm(j.home.translation) for j in iiwa7.joints)
-        total += np.linalg.norm(iiwa7.end_effector.translation)
+        total = sum(np.linalg.norm(j.home[:3, 3]) for j in iiwa7.joints)
+        total += np.linalg.norm(iiwa7.end_effector[:3, 3])
         assert 1.2 < total < 1.4
 
     def test_iiwa7_home_pose_hand_check(self, iiwa7):
         # straight-up chain: EE sits on the z axis at the summed link heights
         pose = robot.forward_kinematics(iiwa7, np.zeros(7))
-        assert np.abs(pose.translation - [0, 0, 1.266]).max() < 1e-12
-        assert np.abs(pose.rotation - np.eye(3)).max() < 1e-12
+        assert np.abs(pose[:3, 3] - [0, 0, 1.266]).max() < 1e-12
+        assert np.abs(pose[:3, :3] - np.eye(3)).max() < 1e-12
 
     def test_zero_axis_rejected(self):
         bad = revolute_z()
@@ -135,9 +137,9 @@ class TestLoadModel:
 
     def test_model_arrays_read_only(self, iiwa7):
         joint, link = iiwa7.joints[0], iiwa7.links[0]
-        for array in (joint.axis, joint.home.rotation, joint.home.translation,
-                      link.com, link.inertia, iiwa7.end_effector.rotation,
-                      iiwa7.end_effector.translation):
+        for array in (joint.axis, joint.home[:3, :3], joint.home[:3, 3],
+                      link.com, link.inertia, iiwa7.end_effector[:3, :3],
+                      iiwa7.end_effector[:3, 3]):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -153,17 +155,17 @@ class TestForwardKinematics:
     def test_home_pose_anthro3r(self, anthro3r):
         pose = robot.forward_kinematics(anthro3r, np.zeros(3))
         # upright arm: two vertical offsets then two horizontal ones
-        assert np.abs(pose.translation - [0.75, 0, 0.40]).max() < 1e-12
+        assert np.abs(pose[:3, 3] - [0.75, 0, 0.40]).max() < 1e-12
 
     def test_single_joint_quarter_turn(self):
         model = single_revolute_model()
         pose = robot.forward_kinematics(model, [np.pi / 2])
-        assert np.abs(pose.translation - [0, 1, 0]).max() < 1e-12
+        assert np.abs(pose[:3, 3] - [0, 1, 0]).max() < 1e-12
 
     def test_matches_brute_force_chain(self, iiwa7, rng):
         for _ in range(10):
             q = random_q(rng, iiwa7)
-            pose = robot.forward_kinematics(iiwa7, q).matrix()
+            pose = robot.forward_kinematics(iiwa7, q)
             assert np.abs(pose - brute_force_fk(iiwa7, q)).max() <= 1e-12
 
     def test_dimension_mismatch(self, anthro3r):
@@ -191,9 +193,9 @@ class TestJacobian:
             q = random_q(rng, iiwa7)
             qd = rng.normal(size=7)
             jb = robot.jacobian(iiwa7, q, Frame.BODY)
-            t0 = robot.forward_kinematics(iiwa7, q - step * qd).matrix()
-            t1 = robot.forward_kinematics(iiwa7, q + step * qd).matrix()
-            tc = robot.forward_kinematics(iiwa7, q).matrix()
+            t0 = robot.forward_kinematics(iiwa7, q - step * qd)
+            t1 = robot.forward_kinematics(iiwa7, q + step * qd)
+            tc = robot.forward_kinematics(iiwa7, q)
             g = np.linalg.solve(tc, (t1 - t0) / (2 * step))
             # manual extraction: finite differencing leaves the skew part
             # only approximately antisymmetric, so vee() would reject it
@@ -210,13 +212,13 @@ class TestJacobian:
                 q = random_q(rng, model)
                 jb = robot.jacobian(model, q, Frame.BODY)
                 jh = robot.jacobian(model, q, Frame.HYBRID)
-                r = robot.forward_kinematics(model, q).rotation
+                r = robot.forward_kinematics(model, q)[:3, :3]
                 mapped = np.vstack([r @ jb[:3], r @ jb[3:]])
                 assert np.abs(jh - mapped).max() <= 1e-12
                 # Inertial = spatial Jacobian Ad(T_ee) J_b
                 js = robot.jacobian(model, q, Frame.INERTIAL)
                 pose = robot.forward_kinematics(model, q)
-                assert np.abs(js - se3.adjoint(pose) @ jb).max() <= 1e-12
+                assert np.abs(js - adjoint(Transform.from_matrix(pose)) @ jb).max() <= 1e-12
 
 
 class TestJacobianDerivative:
@@ -317,7 +319,7 @@ class TestFullKinematics:
             for _ in range(20):
                 q = random_q(rng, model)
                 kin = robot.full_kinematics(model, q, frame)
-                assert np.abs(kin.pose.matrix() - brute_force_fk(model, q)).max() <= 1e-12
+                assert np.abs(kin.pose - brute_force_fk(model, q)).max() <= 1e-12
                 fd = twist_jacobian_central_difference(model, q, frame)
                 assert np.abs(kin.jacobian - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
                 fd = jacobian_central_difference(model, q, frame)

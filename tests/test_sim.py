@@ -65,6 +65,13 @@ class TestSampledPaths:
         with pytest.raises(ValidationError):
             sim.JointPath([0.0, 1.0], [[0.0], [np.inf]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_times(self, bad):
+        with pytest.raises(ValidationError):
+            sim.WrenchProfile([0.0, bad], np.zeros((2, 6)))
+        with pytest.raises(ValidationError):
+            sim.JointPath([0.0, bad], [[0.0], [1.0]])
+
     def test_wrench_profile_needs_six_columns(self):
         with pytest.raises(DimensionMismatch):
             sim.WrenchProfile([0.0, 1.0], np.zeros((2, 5)))
@@ -128,6 +135,16 @@ class TestDesignDamping:
     def test_rejects_indefinite_inertia(self):
         with pytest.raises(NonPositiveDefinite):
             sim.design_damping(np.eye(2), np.diag([1.0, 0.0]), 1.0)
+
+    @pytest.mark.parametrize("bad_k, bad_m", [(True, False), (False, True), (True, True)])
+    def test_rejects_non_finite_input(self, bad_k, bad_m):
+        k, m = np.eye(2), np.eye(2)
+        if bad_k:
+            k[0, 1] = np.nan
+        if bad_m:
+            m[1, 1] = np.inf
+        with pytest.raises(NonFinite, match="inertia" if bad_m else "stiffness"):
+            sim.design_damping(k, m, 1.0)
 
 
 class TestSimulate:
@@ -384,10 +401,10 @@ class TestSemicircleTrajectory:
     def test_tracks_arc_in_base_plane(self, iiwa7):
         traj = sim.semicircle_trajectory(iiwa7, Q0_IIWA, 10.0, radius=0.1,
                                          samples=41)
-        start = robot.forward_kinematics(iiwa7, traj.values[0]).translation
+        start = robot.forward_kinematics(iiwa7, traj.values[0])[:3, 3]
         center = start - np.array([0.1, 0.0, 0.0])
         for qs, ang in zip(traj.values, np.linspace(0, np.pi, 41)):
-            p = robot.forward_kinematics(iiwa7, qs).translation
+            p = robot.forward_kinematics(iiwa7, qs)[:3, 3]
             target = center + 0.1 * np.array([np.cos(ang), np.sin(ang), 0.0])
             assert np.linalg.norm(p - target) < 1e-7
 

@@ -5,9 +5,10 @@ import pytest
 
 from geostiff import robot, stiffness as st
 from geostiff.connection import Frame, correction_matrix
-from geostiff.errors import DimensionMismatch, FrameMismatch, NotSquare
+from geostiff.errors import DimensionMismatch, FrameMismatch, NonFinite, NotSquare
 
 from conftest import random_q
+from oracles import brute_force_fk, chart_coordinates, richardson_hessian
 
 
 def random_psd_hessian(rng, scale=100.0):
@@ -154,6 +155,16 @@ class TestJointStiffness:
         with pytest.raises(FrameMismatch):
             st.joint_stiffness(iiwa7, np.zeros(7), hessian, np.zeros(6), Frame.HYBRID)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_wrench_rejected(self, iiwa7, bad):
+        f = np.zeros(6)
+        f[4] = bad
+        hessian = st.TaskStiffness(np.eye(6), Frame.BODY)
+        with pytest.raises(NonFinite):
+            st.joint_stiffness(iiwa7, np.zeros(7), hessian, f, Frame.BODY)
+        with pytest.raises(NonFinite):
+            st.kinematic_stiffness(iiwa7, np.zeros(7), f, Frame.BODY)
+
     def test_index_form_matches_matrix_form(self, anthro3r, iiwa7, rng):
         # independent contraction of the tensor expression, all loops explicit
         for model in (anthro3r, iiwa7):
@@ -233,6 +244,24 @@ class TestSymmetryTools:
         r = st.symmetry_report(np.zeros((3, 3)))
         assert r.asym_ratio == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_report_rejects_non_finite(self, bad):
+        # a NaN entry once gave the wrong finite sigma_max_sym = 0.707
+        with pytest.raises(NonFinite):
+            st.symmetry_report([[bad, 1.0], [0.0, 1.0]])
+
+    def test_report_overflow_raises_non_finite(self, iiwa7):
+        # finite matrices whose antisymmetric Gram matrix overflows: the
+        # first gave sigma_max_asym = nan, the second a bare LinAlgError
+        huge_wrench = [1e200, 0, 0, 0, 0, 0]
+        k = st.joint_stiffness(iiwa7, [0, 0.5, 0, -1.2, 0, 0.8, 0],
+                               st.TaskStiffness(np.zeros((6, 6)), Frame.BODY),
+                               huge_wrench, Frame.BODY).matrix
+        for m in ([[1e200, 2e200], [0.0, 1.0]], k):
+            # the overflow still warns; scaling sigma is left for later
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
+                st.symmetry_report(m)
+
 
 class TestCentralSymmetryProperty:
     @pytest.mark.parametrize("frame", [Frame.BODY, Frame.HYBRID, Frame.INERTIAL])
@@ -245,6 +274,33 @@ class TestCentralSymmetryProperty:
                 k = st.joint_stiffness(model, q, hessian, f, frame, True).matrix
                 # symmetric to machine precision
                 assert st.symmetry_report(k).asym_ratio <= 1e-12
+
+    def test_corrected_is_potential_hessian(self, anthro3r, iiwa7):
+        # the paper's claim itself: the corrected stiffness is the Hessian of
+        # V = 1/2 x^T H x + F^T x in the (translation, SO(3) log) chart about
+        # the current pose; symmetry alone would not show it
+        rng = np.random.default_rng(20261018)
+        errors, misses = [], []
+        for model in (anthro3r, iiwa7):
+            for frame in Frame:
+                for _ in range(5):
+                    q = random_q(rng, model)
+                    h = random_psd_hessian(rng)
+                    f = rng.normal(scale=10.0, size=6)
+                    t_s = brute_force_fk(model, q)
+
+                    def potential(qq):
+                        x = chart_coordinates(brute_force_fk(model, qq), t_s, frame)
+                        return 0.5 * x @ h @ x + f @ x
+
+                    ref = richardson_hessian(potential, q)
+                    scale = np.abs(ref).max()
+                    spring = st.TaskStiffness(h, frame)
+                    for with_correction, out in ((True, errors), (False, misses)):
+                        k = st.joint_stiffness(model, q, spring, f, frame, with_correction)
+                        out.append(np.abs(k.matrix - ref).max() / scale)
+        assert max(errors) <= 1e-7
+        assert sum(miss > 1e-4 for miss in misses) >= 0.95 * len(misses)
 
     def test_baseline_asymmetry_witness(self, anthro3r):
         hessian = st.TaskStiffness(np.zeros((6, 6)), Frame.HYBRID)
