@@ -14,6 +14,17 @@ These are the symbols of the chart x = (translation, SO(3) log) of the pose
 T relative to the current pose T_s: T_s^-1 T for BODY, T T_s^-1 for
 INERTIAL, and (p - p_s, log(R R_s^T)) for HYBRID.  In it the corrected
 joint stiffness is the Hessian of the potential 1/2 x^T H x + F^T x.
+
+The joint stiffness is frame-local: with the frame's own Jacobian J, and
+W(F) = F . C the wrench contracted with the se(3) structure constants,
+
+    K = J^T (H + Gamma F + kappa_f(F)) J + s_f tri_f(J^T W(F) J),
+
+where tri_f is the strict upper triangle with s_f = +1 for BODY and HYBRID
+and the strict lower one with s_f = -1 for INERTIAL, and
+kappa_HYBRID(F) = -W(F) diag(0, 0, 0, 1, 1, 1) is the only nonzero kappa.
+So a frame contributes Gamma F and W(F) alone, and no derivative of J is
+needed (stiffness.assemble_joint_stiffness).
 """
 
 from __future__ import annotations

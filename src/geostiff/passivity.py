@@ -107,7 +107,8 @@ def audit_stiffness(k, radius: float = 1.0, segments: int = 3600,
     if segments < 3:
         raise OpenPath("need at least 3 segments")
     area = 0.5 * segments * radius * radius * np.sin(2.0 * np.pi / segments)
-    work = area * np.triu(k.T - k, 1)
+    with np.errstate(over="ignore"):    # an overflowing work is the NonFinite case
+        work = area * np.triu(k.T - k, 1)
     worst = float(work.flat[np.argmax(np.abs(work))]) if k.size else 0.0
     if not math.isfinite(worst):
         raise NonFinite(f"loop work overflows: {worst}")

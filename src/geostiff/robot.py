@@ -229,6 +229,7 @@ def _spatial_inertia(link: Link) -> np.ndarray:
 # skew(x) and ad(x) are linear in x: x @ basis gives them flattened
 _SKEW_BASIS = np.stack([se3.skew(e).ravel() for e in np.eye(3)])      # (3,9)
 _AD_BASIS = se3.STRUCTURE_CONSTANTS.transpose(1, 0, 2).reshape(6, 36)  # ad(e_i)[k,j] = C^k_ij
+_SWAP = [3, 4, 5, 0, 1, 2]    # angular part first: P x for the block swap P
 
 
 class _StaticModelData:
@@ -249,16 +250,17 @@ class _StaticModelData:
             terms[i, :, :3, 3] = [w_hat @ v, v + w_hat2 @ v, -w_hat @ v, -w_hat2 @ v]
         terms[:, 0, 3, 3] = 1.0
         home = np.stack([j.home for j in model.joints])
-        local = home[:, None] @ terms
-        # home_i exp(axis_i q_i) = local_const[i] + [q, c, s] @ local_basis[i];
-        # entry n of local_const is the fixed end-effector offset
-        self.local_const = np.concatenate((local[:, 0], model.end_effector[None]))
-        self.local_basis = local[:, 1:].reshape(n, 3, 16)
-        self.axes = np.stack([j.axis for j in model.joints])[:, :, None]   # (n,6,1)
-        self.inertias = np.stack([_spatial_inertia(l) for l in model.links])
-        # derivative masks, indexed [alpha, :, beta]: alpha > beta and alpha < beta
-        self.tril_mask = np.tril(np.ones((n, n)), k=-1)[:, None, :]
-        self.triu_mask = self.tril_mask.transpose(2, 1, 0)
+        # home_i exp(axis_i q_i) = [1, q, c, s] @ local[i]; entry n is the
+        # fixed end-effector offset, which takes the factors [1, 0, 0, 0]
+        self.local = np.zeros((n + 1, 4, 16))
+        self.local[:n] = (home[:, None] @ terms).reshape(n, 4, 16)
+        self.local[n, 0] = model.end_effector.ravel()
+        self.factors = np.zeros((n + 1, 4))
+        self.factors[:, 0] = 1.0
+        self.swapped_axes = np.stack([j.axis[_SWAP] for j in model.joints])[:, :, None]
+        # G_k = C_k' C_k with C_k = diag(lambda)^1/2 V' from G_k = V diag(lambda) V'
+        lam, vecs = np.linalg.eigh(np.stack([_spatial_inertia(l) for l in model.links]))
+        self.inertia_roots = np.sqrt(np.maximum(lam, 0.0))[:, :, None] * vecs.transpose(0, 2, 1)
         self.link_mask = np.tril(np.ones((n, n)))[:, None, :]    # joints j <= link k
 
 
@@ -268,12 +270,11 @@ def _frames(model: RobotModel, q) -> np.ndarray:
     product in log2(n + 1) batched steps."""
     q = _check_dim(model, q)
     sd, n = model._static, model.n
-    coef = np.empty((n, 3))
-    coef[:, 0] = q
-    np.cos(q, out=coef[:, 1])
-    np.sin(q, out=coef[:, 2])
-    frames = sd.local_const.copy()
-    frames[:n] += (coef[:, None, :] @ sd.local_basis).reshape(n, 4, 4)
+    coef = sd.factors.copy()
+    coef[:n, 1] = q
+    np.cos(q, out=coef[:n, 2])
+    np.sin(q, out=coef[:n, 3])
+    frames = (coef[:, None, :] @ sd.local).reshape(n + 1, 4, 4)
     shift = 1
     while shift <= n:
         frames[shift:] = frames[:-shift] @ frames[shift:]
@@ -285,63 +286,55 @@ class _Jacobians(NamedTuple):
     frames: np.ndarray        # (n+1,4,4): T_01 .. T_0n, T_ee
     screws_seen: np.ndarray   # (n+1,6,n): Ad(T^-1) S for each pose T in frames
     jacobian: np.ndarray      # 6xn, requested frame
-    derivative: np.ndarray    # (n,6,n), requested frame
 
 
-def _in_frame(sd: _StaticModelData, screws, jb, r_ee, frame: Frame) -> tuple:
-    """Jacobian and its derivative D[alpha][:, beta] = dJ_beta/dq_alpha in frame.
+def _hybrid_rotation(r_ee) -> np.ndarray:
+    """blockdiag(R, R), which rotates both 3-row blocks into base axes."""
+    r_blocks = np.zeros((6, 6))
+    r_blocks[:3, :3] = r_blocks[3:, 3:] = r_ee
+    return r_blocks
 
-    A spatial column J_s,beta = s_beta moves only with the joints before it,
-    a body column J_b,beta only with the joints after it, both by Lie
-    brackets of the columns (Lynch & Park, Modern Robotics, ch. 5).
-    """
+
+def _in_frame(screws, jb, r_ee, frame: Frame) -> np.ndarray:
+    """The Jacobian in frame from the spatial screws and the body Jacobian."""
     if frame == Frame.INERTIAL:
-        # dJ_s,beta/dq_alpha = ad(J_s,alpha) J_s,beta for alpha < beta
-        return screws, ((screws.T @ _AD_BASIS).reshape(-1, 6, 6) @ screws) * sd.triu_mask
-    # dJ_b,beta/dq_alpha = -ad(J_b,alpha) J_b,beta for alpha > beta
-    d_body = -((jb.T @ _AD_BASIS).reshape(-1, 6, 6) @ jb) * sd.tril_mask
+        return screws
     if frame == Frame.BODY:
-        return jb, d_body
+        return jb
     if frame == Frame.HYBRID:
-        # r_blocks = blockdiag(R, R) rotates both 3-row blocks into base axes;
-        # dR/dq_alpha = R skew(w_alpha) acts on both, and ad of the angular
-        # part alone is blockdiag(skew(w_alpha), skew(w_alpha))
-        r_blocks = np.zeros((6, 6))
-        r_blocks[:3, :3] = r_blocks[3:, 3:] = r_ee
-        w_blocks = (jb[3:].T @ _AD_BASIS[3:]).reshape(-1, 6, 6)
-        return r_blocks @ jb, r_blocks @ (w_blocks @ jb + d_body)
+        return _hybrid_rotation(r_ee) @ jb
     raise ValidationError(f"frame must be a Frame, got {frame!r}")
 
 
 def _jacobians(model: RobotModel, q, frame: Frame) -> _Jacobians:
     """The spatial screws s_i = Ad(T_0i) axis_i (Ad(exp(axis q)) axis = axis)
-    seen from every link and the end effector, and the Jacobian and its
-    derivative in frame.  The body Jacobian is Ad(T_ee^-1) S; that of link k
-    is Ad(T_0k^-1) S restricted to joints up to k."""
+    seen from every link and the end effector, and the Jacobian in frame.
+    The body Jacobian is Ad(T_ee^-1) S; that of link k is Ad(T_0k^-1) S
+    restricted to joints up to k."""
     frames = _frames(model, q)
     sd, n = model._static, model.n
-    # Ad(T) = [[R, p^ R], [0, R]] and Ad(T^-1) = [[R', (p^ R)'], [0, R']]
+    # Ad(T^-1) = [[R', (p^ R)'], [0, R']], and Ad(T) = [[R, p^ R], [0, R]]
+    # is P Ad(T^-1)' P, where P swaps the linear and angular blocks
     rot = frames[:, :3, :3]
     p_hat_r = (frames[:, :3, 3] @ _SKEW_BASIS).reshape(n + 1, 3, 3) @ rot
-    ad = np.zeros((n, 6, 6))
-    ad[:, :3, :3] = ad[:, 3:, 3:] = rot[:n]
-    ad[:, :3, 3:] = p_hat_r[:n]
-    screws = (ad @ sd.axes)[:, :, 0].T
     ad_inv = np.zeros((n + 1, 6, 6))
     ad_inv[:, :3, :3] = ad_inv[:, 3:, 3:] = rot.transpose(0, 2, 1)
     ad_inv[:, :3, 3:] = p_hat_r.transpose(0, 2, 1)
+    screws = (ad_inv[:n].transpose(0, 2, 1) @ sd.swapped_axes)[:, _SWAP, 0].T
     seen = ad_inv @ screws
-    jac, deriv = _in_frame(sd, screws, seen[n], rot[n], frame)
-    return _Jacobians(frames, seen, jac, deriv)
+    return _Jacobians(frames, seen, _in_frame(screws, seen[n], rot[n], frame))
 
 
 def _mass(model: RobotModel, q, kin: _Jacobians) -> tuple:
     """M = sum over links of J_k^T G_k J_k and its eigen-factorisation, which
-    checks M positive definite: (M, eigenvalues ascending, eigenvectors)."""
+    checks M positive definite: (M, eigenvalues ascending, eigenvectors).
+
+    With G_k = C_k^T C_k, M = R^T R for the stacked R = [C_k J_k], one
+    product of a matrix with its own transpose, which numpy computes as an
+    exactly symmetric result."""
     sd, n = model._static, model.n
-    link_jac = kin.screws_seen[:n] * sd.link_mask
-    m = link_jac.reshape(6 * n, n).T @ (sd.inertias @ link_jac).reshape(6 * n, n)
-    m = 0.5 * (m + m.T)
+    rooted = (sd.inertia_roots @ (kin.screws_seen[:n] * sd.link_mask)).reshape(6 * n, n)
+    m = rooted.T @ rooted
     m_vals, m_vecs = np.linalg.eigh(m)
     if m_vals[0] < 1e-9:
         raise NonPositiveDefinite(
@@ -368,11 +361,28 @@ def jacobian(model: RobotModel, q, frame: Frame) -> np.ndarray:
 def jacobian_transpose_derivative(model: RobotModel, q, frame: Frame) -> np.ndarray:
     """Analytic (n, 6, n) derivative D[alpha][k][beta] = dJ[k][beta]/dq[alpha].
 
-    The body derivative is the bracket -ad(J_alpha) J_beta for alpha > beta,
-    the spatial one ad(J_alpha) J_beta for alpha < beta, and zero otherwise.
-    The hybrid derivative adds the rotation of the base-axes block.
+    A spatial column J_s,beta moves only with the joints before it, a body
+    column J_b,beta only with the joints after it, both by Lie brackets of
+    the columns (Lynch & Park, Modern Robotics, ch. 5): the body derivative
+    is -ad(J_alpha) J_beta for alpha > beta, the spatial one
+    ad(J_alpha) J_beta for alpha < beta, and zero otherwise.  The hybrid
+    derivative adds the rotation of the base-axes blocks.  No library path
+    builds this tensor (the stiffness contracts the wrench first); it is the
+    tests' oracle for that contraction.
     """
-    return _jacobians(model, q, frame).derivative
+    kin = _jacobians(model, q, frame)
+    lower = np.tril(np.ones((model.n, model.n)), k=-1)[:, None, :]  # [alpha, :, beta]
+    if frame == Frame.INERTIAL:
+        s = kin.jacobian
+        return ((s.T @ _AD_BASIS).reshape(-1, 6, 6) @ s) * lower.transpose(2, 1, 0)
+    jb = kin.screws_seen[-1]
+    d_body = -((jb.T @ _AD_BASIS).reshape(-1, 6, 6) @ jb) * lower
+    if frame == Frame.BODY:
+        return d_body
+    # dR/dq_alpha = R skew(w_alpha) acts on both blocks, and ad of the
+    # angular part alone is blockdiag(skew(w_alpha), skew(w_alpha))
+    w_blocks = (jb[3:].T @ _AD_BASIS[3:]).reshape(-1, 6, 6)
+    return _hybrid_rotation(kin.frames[-1, :3, :3]) @ (w_blocks @ jb + d_body)
 
 
 def mass_matrix(model: RobotModel, q) -> np.ndarray:
@@ -396,20 +406,17 @@ class KinematicsBundle:
 
     pose: np.ndarray          # 4x4 end-effector pose, base frame
     jacobian: np.ndarray      # 6xn, requested frame
-    derivative: np.ndarray    # (n,6,n), requested frame
     mass: np.ndarray          # nxn
     mass_eigvals: np.ndarray  # (n,), ascending
     mass_eigvecs: np.ndarray  # nxn, orthonormal columns
 
 
 def full_kinematics(model: RobotModel, q, frame: Frame) -> KinematicsBundle:
-    """Pose, Jacobian, Jacobian derivative and inertia from one pass.
+    """Pose, Jacobian and inertia from one pass.
 
-    forward_kinematics, jacobian, jacobian_transpose_derivative and
-    mass_matrix are views of the stages of this pass; the simulator calls it
-    once per step and reuses the eigen-factorisation of M for its damping
-    design and acceleration solve.
+    forward_kinematics, jacobian and mass_matrix are views of the stages of
+    this pass; the simulator calls it once per step and reuses the
+    eigen-factorisation of M for its damping design and acceleration solve.
     """
     kin = _jacobians(model, q, frame)
-    return KinematicsBundle(kin.frames[-1], kin.jacobian, kin.derivative,
-                            *_mass(model, q, kin))
+    return KinematicsBundle(kin.frames[-1], kin.jacobian, *_mass(model, q, kin))

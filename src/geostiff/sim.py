@@ -4,7 +4,8 @@ The plant is M(q) qdd = tau + J^T F_ext (gravity and Coriolis terms are
 assumed perfectly compensated), integrated with fixed-step semi-implicit
 Euler at the controller rate.  The controller is tau = K (q0 - q) - B qdot,
 with K the (optionally corrected) joint-space stiffness recomputed every
-step and B designed by double diagonalization of (K, M).
+step and B designed by double diagonalization of (K, M), applied through
+the modal factor of (K, M) without forming B.
 
 Wrench profiles are expressed in the hybrid convention: force along base
 axes, moment about the end-effector origin in base axes.  They are converted
@@ -177,7 +178,8 @@ def design_damping(k_joint, m_inertia, damping_ratio: float) -> np.ndarray:
     M is checked first, so a bad M wins over a bad K.  Then this is the
     simulator step's own design, _damping_from_factor, with its PSD rule for
     the symmetric part of K (NegativeEigenvalue below -1e-9; smaller
-    negative eigenvalues are clamped to zero).
+    negative eigenvalues are clamped to zero), and B = 2 zeta Z Z^T with
+    Z = M X diag(mu)^1/4.
     """
     k = np.asarray(k_joint, dtype=float)
     m = np.asarray(m_inertia, dtype=float)
@@ -185,10 +187,13 @@ def design_damping(k_joint, m_inertia, damping_ratio: float) -> np.ndarray:
         raise DimensionMismatch("stiffness and inertia must be square and same size")
     robot_mod._require_finite("inertia", m)
     robot_mod._require_finite("stiffness", k)
-    m_vals, m_vecs = np.linalg.eigh(0.5 * (m + m.T))
+    m_sym = 0.5 * (m + m.T)
+    m_vals, m_vecs = np.linalg.eigh(m_sym)
     if m_vals[0] <= 0:
         raise NonPositiveDefinite("inertia matrix must be positive definite")
-    return _damping_from_factor(0.5 * (k + k.T), m_vals, m_vecs, damping_ratio)
+    x, mu = _damping_from_factor(0.5 * (k + k.T), m_vals, m_vecs)
+    z = (m_sym @ x) * mu ** 0.25
+    return (2.0 * damping_ratio) * (z @ z.T)
 
 
 def _check_psd(k_min: float) -> None:
@@ -217,22 +222,20 @@ def _check_psd_congruent(k_sym, mu_min: float, m_vals) -> None:
         _check_psd(np.linalg.eigvalsh(k_sym)[0])
 
 
-def _damping_from_factor(k_sym, m_vals, m_vecs, damping_ratio: float) -> np.ndarray:
-    """Damping B for symmetric PSD K and SPD M = V diag(m_vals) V^T.
+def _damping_from_factor(k_sym, m_vals, m_vecs) -> tuple:
+    """Modal factor (X, mu) of symmetric PSD K and SPD M = V diag(m_vals) V^T.
 
-    With A = V diag(m_vals)^-1/2, the matrix M^-1/2 K M^-1/2 equals
-    V (A^T K A) V^T, so it shares the spectrum mu and, rotated by V, the
-    eigenvectors U of A^T K A.  Then B = 2 zeta Z Z^T with
-    Z = V diag(m_vals)^1/2 U diag(mu)^1/4, negative mu clamped to zero.
-    mu decides the PSD check of K (_check_psd_congruent, NegativeEigenvalue
-    if K fails), with eigvalsh(K) where it cannot.
+    With A = V diag(m_vals)^-1/2 and A^T K A = U diag(mu) U^T, X = A U
+    diagonalises both: X^T M X = I and X^T K X = diag(mu).  So M^-1 = X X^T,
+    and the damping B = 2 zeta M^1/2 (M^-1/2 K M^-1/2)^1/2 M^1/2 is
+    2 zeta Z Z^T with Z = M X diag(mu)^1/4.  mu decides the PSD check of K
+    (_check_psd_congruent, NegativeEigenvalue if K fails), with eigvalsh(K)
+    where it cannot; the returned mu has negative values clamped to zero.
     """
-    root = np.sqrt(m_vals)
-    a = m_vecs / root
+    a = m_vecs / np.sqrt(m_vals)
     mu, u = np.linalg.eigh(a.T @ k_sym @ a)    # reads the lower triangle only
     _check_psd_congruent(k_sym, mu[0], m_vals)
-    z = (m_vecs * root) @ u * np.maximum(mu, 0.0) ** 0.25
-    return (2.0 * damping_ratio) * (z @ z.T)
+    return a @ u, np.maximum(mu, 0.0)
 
 
 def _wrench_in_frame(f_hybrid, pose, frame: Frame) -> np.ndarray:
@@ -269,6 +272,8 @@ def simulate(model, controller: ControllerConfig, q0_trajectory: JointPath,
         )
     dt = 1.0 / controller.rate
     frame = controller.frame
+    hessian, with_correction = controller.task_hessian.hessian, controller.with_correction
+    two_zeta = 2.0 * controller.damping_ratio
 
     times = np.arange(steps) * dt
     q0_samples = q0_trajectory.evaluate(times)
@@ -290,23 +295,21 @@ def simulate(model, controller: ControllerConfig, q0_trajectory: JointPath,
         try:
             kin = robot_mod.full_kinematics(model, q, frame)
             f = _wrench_in_frame(f_samples[k], kin.pose, frame)
-            k_joint = st.assemble_joint_stiffness(
-                kin.jacobian, kin.derivative, controller.task_hessian.hessian,
-                f, frame, controller.with_correction,
-            )
+            k_joint = st.assemble_joint_stiffness(kin.jacobian, hessian, f, frame,
+                                                  with_correction)
             k_sym = 0.5 * (k_joint + k_joint.T)
-            m_vals, m_vecs = kin.mass_eigvals, kin.mass_eigvecs
-            b = _damping_from_factor(k_sym, m_vals, m_vecs, controller.damping_ratio)
-            tau = k_joint @ (q0_samples[k] - q) - b @ qd
+            x, mu = _damping_from_factor(k_sym, kin.mass_eigvals, kin.mass_eigvecs)
+            z = (kin.mass @ x) * mu ** 0.25       # B = 2 zeta Z Z^T, never formed
+            tau = k_joint @ (q0_samples[k] - q) - two_zeta * (z @ (qd @ z))
 
             out_q[k] = q
             out_qd[k] = qd
             out_tau[k] = tau
             out_k[k] = k_joint
 
-            qdd = m_vecs @ ((tau + kin.jacobian.T @ f) @ m_vecs / m_vals)
+            qdd = x @ ((tau + kin.jacobian.T @ f) @ x)     # M^-1 = X X^T
             qd = qd + dt * qdd
-            speed = np.sqrt(qd @ qd)
+            speed = math.sqrt(qd @ qd)
             if speed > DIVERGENCE_SPEED:
                 raise IntegrationDiverged(f"joint speed {speed:.1f} rad/s")
             q = q + dt * qd
@@ -319,7 +322,8 @@ def simulate(model, controller: ControllerConfig, q0_trajectory: JointPath,
     out_asym = np.empty(steps)
     for s in range(0, steps, _DIAGNOSTIC_CHUNK):
         chunk = slice(s, s + _DIAGNOSTIC_CHUNK)
-        out_sym[chunk], out_asym[chunk] = st._sigma_max(out_k[chunk])
+        peak, s_sym, s_asym = st._sigma_max(out_k[chunk])
+        out_sym[chunk], out_asym[chunk] = peak * s_sym, peak * s_asym
     return SimTrace(times, out_q, out_qd, out_tau, f_samples, out_sym, out_asym)
 
 

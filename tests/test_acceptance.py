@@ -205,7 +205,7 @@ def test_criterion_8_simulation_suite():
     energy = np.empty(len(trace.t))
     for i in range(len(trace.t)):
         kin = robot.full_kinematics(model, trace.q[i], Frame.BODY)
-        kj = st.assemble_joint_stiffness(kin.jacobian, kin.derivative,
+        kj = st.assemble_joint_stiffness(kin.jacobian,
                                          hessian.hessian, np.zeros(6),
                                          Frame.BODY, True)
         dq = trace.q[i] - q0

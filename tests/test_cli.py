@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as hs
 
-from geostiff import cli, robot, sim
+from geostiff import cli, robot, sim, stiffness as st
 
 
 def run_cli(capsys, *argv):
@@ -148,13 +148,24 @@ class TestStiffness:
         assert code == 1
 
     def test_overflowing_result_exits_1(self, capsys):
+        # a wrench of 1e308 in every component overflows the joint stiffness
         code, out, err = run_cli(capsys, "stiffness", "--model", "iiwa7",
-                                 "--q=0,0.5,0,-1.2,0,0.8,0", "--wrench=1e200,0,0,0,0,0",
+                                 "--q=0,0.5,0,-1.2,0,0.8,0", "--wrench=" + ",".join(["1e308"] * 6),
                                  "compute")
         assert code == 1
         assert out == ""
         assert err.splitlines()[-1].startswith("error: ")
         assert "Traceback" not in err
+
+    def test_huge_finite_result_is_reported(self, capsys):
+        # entries of ~1e200 once overflowed sigma's Gram matrix; sigma is
+        # scaled now, so the finite result is reported
+        payload = run_json(capsys, "stiffness", "--model", "iiwa7",
+                           "--q=0,0.5,0,-1.2,0,0.8,0", "--wrench=1e200,0,0,0,0,0", "compute")
+        report = st.symmetry_report(payload["matrix"])
+        assert payload["sigma_max_sym"] == report.sigma_max_sym
+        assert 1e199 < payload["sigma_max_sym"] < 1e201
+        assert payload["sigma_max_asym"] <= 1e-12 * payload["sigma_max_sym"]
 
 
 class TestPassivity:

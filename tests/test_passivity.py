@@ -173,6 +173,11 @@ class TestAuditStiffness:
         with pytest.raises(NonFinite):
             pv.audit_stiffness(k)
 
+    def test_overflowing_work_raises_non_finite(self):
+        # finite entries whose antisymmetric difference overflows, with no warning
+        with pytest.raises(NonFinite):
+            pv.audit_stiffness([[1e308, -1e308], [1e308, 1.0]])
+
     def test_too_few_segments_rejected(self):
         with pytest.raises(OpenPath):
             pv.audit_stiffness(np.eye(2), segments=2)

@@ -165,7 +165,7 @@ class TestSimulate:
         for i in range(len(trace.t)):
             kin = robot.full_kinematics(iiwa7, trace.q[i], Frame.BODY)
             k = st.assemble_joint_stiffness(
-                kin.jacobian, kin.derivative, controller.task_hessian.hessian,
+                kin.jacobian, controller.task_hessian.hessian,
                 np.zeros(6), Frame.BODY, True)
             dq = trace.q[i] - Q0_IIWA
             energy[i] = (0.5 * trace.qdot[i] @ kin.mass @ trace.qdot[i]
@@ -306,7 +306,7 @@ class TestStepPsdCheck:
             m = _spd(rng, rng.uniform(0.01, 10.0, 7))
             k = _spd(rng, np.concatenate(([lam_min], scale * rng.uniform(0.1, 1.0, 6))))
             m_vals, m_vecs = np.linalg.eigh(m)
-            assert (_psd_outcome(sim._damping_from_factor, k, m_vals, m_vecs, 1.0)
+            assert (_psd_outcome(sim._damping_from_factor, k, m_vals, m_vecs)
                     == _psd_outcome(sim._check_psd, np.linalg.eigvalsh(k)[0]))
 
     @pytest.mark.parametrize("with_correction", [True, False])
@@ -355,7 +355,7 @@ class TestLoggedDiagnostics:
         for i in range(len(trace.t)):
             kin = robot.full_kinematics(model, trace.q[i], frame)
             f = sim._wrench_in_frame(trace.f_ext[i], kin.pose, frame)
-            k = st.assemble_joint_stiffness(kin.jacobian, kin.derivative,
+            k = st.assemble_joint_stiffness(kin.jacobian,
                                             controller.task_hessian.hessian, f, frame,
                                             with_correction)
             report = st.symmetry_report(k)

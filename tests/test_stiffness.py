@@ -31,6 +31,11 @@ class TestTaskStiffness:
         with pytest.raises(DimensionMismatch):
             st.TaskStiffness(np.eye(3), Frame.BODY)
 
+    def test_overflowing_norm_raises_non_finite(self):
+        # finite entries whose Frobenius norm overflows, with no warning
+        with pytest.raises(NonFinite):
+            st.TaskStiffness(1e200 * np.eye(6), Frame.BODY)
+
     def test_from_numbers(self, rng):
         diag = rng.uniform(1.0, 10.0, 6)
         assert np.array_equal(st.TaskStiffness.from_numbers(diag, Frame.BODY).hessian,
@@ -165,6 +170,25 @@ class TestJointStiffness:
         with pytest.raises(NonFinite):
             st.kinematic_stiffness(iiwa7, np.zeros(7), f, Frame.BODY)
 
+    @pytest.mark.parametrize("frame", list(Frame))
+    def test_contraction_matches_tensor_form(self, anthro3r, iiwa7, frame):
+        # the wrench-first contraction against the (n, 6, n) derivative tensor
+        rng = np.random.default_rng(20261020)
+        for model in (anthro3r, iiwa7):
+            for _ in range(20):
+                q = random_q(rng, model)
+                f = rng.normal(scale=10.0, size=6)
+                h = random_psd_hessian(rng)
+                jac = robot.jacobian(model, q, frame)
+                k_kin = (f @ robot.jacobian_transpose_derivative(model, q, frame)).T
+                k = st.kinematic_stiffness(model, q, f, frame)
+                assert np.abs(k - k_kin).max() <= 1e-12 * np.abs(k_kin).max()
+                for with_correction in (True, False):
+                    task = h + correction_matrix(frame, f) if with_correction else h
+                    tensor_form = k_kin + jac.T @ task @ jac
+                    k = st.assemble_joint_stiffness(jac, h, f, frame, with_correction)
+                    assert np.abs(k - tensor_form).max() <= 1e-12 * np.abs(tensor_form).max()
+
     def test_index_form_matches_matrix_form(self, anthro3r, iiwa7, rng):
         # independent contraction of the tensor expression, all loops explicit
         for model in (anthro3r, iiwa7):
@@ -251,16 +275,25 @@ class TestSymmetryTools:
             st.symmetry_report([[bad, 1.0], [0.0, 1.0]])
 
     def test_report_overflow_raises_non_finite(self, iiwa7):
-        # finite matrices whose antisymmetric Gram matrix overflows: the
-        # first gave sigma_max_asym = nan, the second a bare LinAlgError
+        # finite matrices whose antisymmetric Gram matrix overflows (they
+        # once gave sigma_max_asym = nan or a bare LinAlgError), or
+        # underflows: sigma is scaled, so they match the SVD, with no warning
         huge_wrench = [1e200, 0, 0, 0, 0, 0]
         k = st.joint_stiffness(iiwa7, [0, 0.5, 0, -1.2, 0, 0.8, 0],
                                st.TaskStiffness(np.zeros((6, 6)), Frame.BODY),
                                huge_wrench, Frame.BODY).matrix
-        for m in ([[1e200, 2e200], [0.0, 1.0]], k):
-            # the overflow still warns; scaling sigma is left for later
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
-                st.symmetry_report(m)
+        for m in ([[1e160, 2e160], [0.0, 1.0]], [[1e200, 2e200], [0.0, 1.0]],
+                  [[1e-200, 2e-200], [0.0, 1e-201]], k):
+            r = st.symmetry_report(m)
+            sym, asym = st.symmetry_decompose(m)
+            scale = np.linalg.svd(sym, compute_uv=False)[0]
+            # k is symmetric up to rounding: its sigma_max_asym is noise, so
+            # both sigma are compared in units of the matrix's scale
+            assert abs(r.sigma_max_sym - scale) <= 1e-12 * scale
+            assert abs(r.sigma_max_asym - np.linalg.svd(asym, compute_uv=False)[0]) <= 1e-12 * scale
+        # only sigma itself beyond the float range still raises: 2e308 here
+        with pytest.raises(NonFinite):
+            st.symmetry_report([[1e308, 1e308], [1e308, 1e308]])
 
 
 class TestCentralSymmetryProperty:
