@@ -117,10 +117,9 @@ def _cmd_passivity(args) -> int:
             text = fh.read()
     try:
         doc = json.loads(text)
-        k = np.asarray(doc, dtype=float)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValidationError(f"--matrix: not a file or a numeric JSON matrix: {exc}") from exc
-    audit = pv.audit_stiffness(k)
+    except ValueError as exc:
+        raise ValidationError(f"--matrix: not a file or a JSON document: {exc}") from exc
+    audit = pv.audit_stiffness(doc)     # a non-numeric matrix is a ValidationError
     _emit({
         "inputs_echo": {"matrix": doc},
         "net_work": audit.net_work,
@@ -157,11 +156,7 @@ def _load_sim_config(path: str) -> sim_mod.ControllerConfig:
         except ValueError as exc:
             raise SchemaError(f"config: not valid JSON: {exc}") from exc
     required = {"task_hessian", "damping_ratio", "frame", "with_correction", "rate"}
-    if not isinstance(doc, dict):
-        raise SchemaError("config must be a JSON object")
-    unknown = set(doc) - required
-    if unknown:
-        raise SchemaError(f"config: unknown keys {sorted(unknown)}")
+    robot_mod._check_object(doc, required, "config")
     missing = required - set(doc)
     if missing:
         raise SchemaError(f"config: missing keys {sorted(missing)}")
@@ -203,7 +198,7 @@ def _cmd_simulate(args) -> int:
     if args.emit_plotscript:
         with open(args.emit_plotscript, "w", encoding="utf-8") as fh:
             fh.write(_PLOTSCRIPT.format(trace=args.out))
-    ratio = np.max(trace.sigma_max_asym / np.maximum(trace.sigma_max_sym, 1e-12))
+    ratio = max(map(st._asym_ratio, trace.sigma_max_sym.tolist(), trace.sigma_max_asym.tolist()))
     _emit({
         "inputs_echo": {
             "model": args.model,
@@ -215,7 +210,7 @@ def _cmd_simulate(args) -> int:
         "steps": len(trace.t),
         "out": args.out,
         "peak_sigma_max_asym": float(np.max(trace.sigma_max_asym)),
-        "max_asym_ratio": float(ratio),
+        "max_asym_ratio": ratio,
     })
     return 0
 

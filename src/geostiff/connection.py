@@ -33,7 +33,8 @@ import enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, ValidationError
+from .errors import ValidationError, as_array
+from .se3 import table_index
 
 
 class Frame(enum.Enum):
@@ -73,23 +74,22 @@ for _t in (_BODY, _INERTIAL, _HYBRID):
 _TABLES = {Frame.BODY: _BODY, Frame.INERTIAL: _INERTIAL, Frame.HYBRID: _HYBRID}
 
 
+def check_frame(frame) -> Frame:
+    """frame itself, or ValidationError unless it is a Frame."""
+    if not isinstance(frame, Frame):
+        raise ValidationError(f"frame must be a Frame, got {frame!r}")
+    return frame
+
+
 def christoffel_table(frame: Frame) -> np.ndarray:
     """Dense 6x6x6 array Gamma[m][i][j] (0-based indices) for the frame."""
-    try:
-        table = _TABLES.get(frame)
-    except TypeError:           # unhashable
-        table = None
-    if table is None:
-        raise ValidationError(f"frame must be a Frame, got {frame!r}")
-    return table
+    return _TABLES[check_frame(frame)]
 
 
 def christoffel(frame: Frame, m: int, i: int, j: int) -> float:
     """Christoffel symbol Gamma^m_ij for the frame; indices are 1-based."""
-    for name, idx in (("m", m), ("i", i), ("j", j)):
-        if not 1 <= idx <= 6:
-            raise IndexOutOfRange(f"index {name}={idx} outside 1..6")
-    return float(christoffel_table(frame)[m - 1, i - 1, j - 1])
+    index = table_index("mij", m, i, j)
+    return float(christoffel_table(frame)[index])
 
 
 def correction_matrix(frame: Frame, wrench) -> np.ndarray:
@@ -100,7 +100,6 @@ def correction_matrix(frame: Frame, wrench) -> np.ndarray:
     nonzeros only in columns 4-6, with the force block skew(f) and the
     moment block skew(m)/2.
     """
-    f = np.asarray(wrench, dtype=float)
-    if f.shape != (6,):
-        raise DimensionMismatch(f"wrench must have 6 components, got {f.shape}")
-    return (f @ christoffel_table(frame).reshape(6, 36)).reshape(6, 6)
+    f = as_array(wrench, "wrench", (6,), finite=False)
+    table = christoffel_table(frame).reshape(6, 36)
+    return (as_array(f, "wrench") @ table).reshape(6, 6)     # errors: shape, frame, finite

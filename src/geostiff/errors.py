@@ -1,4 +1,9 @@
-"""Exception types shared across the geostiff modules."""
+"""Exception types shared across the geostiff modules, and the one rule that
+turns an array argument into a float array or raises one of them."""
+
+import math
+
+import numpy as np
 
 
 class GeostiffError(Exception):
@@ -6,7 +11,7 @@ class GeostiffError(Exception):
 
 
 class IndexOutOfRange(GeostiffError):
-    """A tensor index is outside 1..6."""
+    """A tensor index is not an integer in 1..6."""
 
 
 class SchemaError(GeostiffError):
@@ -47,3 +52,27 @@ class OpenPath(GeostiffError):
 
 class IntegrationDiverged(GeostiffError):
     """Joint velocities exceeded the divergence guard during simulation."""
+
+
+def as_array(value, name: str, shape=None, finite: bool = True) -> np.ndarray:
+    """value as a float array, or ValidationError unless it is a rectangular
+    array of numbers.  Then shape "square" requires a square matrix
+    (NotSquare), a tuple that shape, a None entry matching any size
+    (DimensionMismatch), and finite names the first NaN or inf (NonFinite)."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be an array of numbers: {exc}") from None
+    if shape == "square":
+        if x.ndim != 2 or x.shape[0] != x.shape[1]:
+            raise NotSquare(f"{name} must be a square matrix, got shape {x.shape}")
+    elif shape is not None and x.shape != shape and (
+            len(x.shape) != len(shape) or any(s not in (None, t) for s, t in zip(shape, x.shape))):
+        raise DimensionMismatch(f"{name} must have shape {shape}, got {x.shape}")
+    # a finite sum means finite entries, and is the cheaper test on small arrays
+    if finite and not math.isfinite(sum(x.ravel().tolist())):
+        bad = np.argwhere(~np.isfinite(x))
+        if len(bad):
+            index = ", ".join(map(str, bad[0]))
+            raise NonFinite(f"{name}[{index}] must be finite, got {x[tuple(bad[0])]}")
+    return x

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, NotSquare, OpenPath
+from .errors import DimensionMismatch, NonFinite, OpenPath, as_array
 
 PASSIVE_TOLERANCE = 1e-9  # J, for the default unit-scale loop
 
@@ -25,7 +25,7 @@ class LoopPath:
     waypoints: np.ndarray  # (N, d)
 
     def __post_init__(self):
-        w = np.asarray(self.waypoints, dtype=float)
+        w = as_array(self.waypoints, "waypoints", finite=False)
         if w.ndim != 2 or w.shape[0] < 4:
             raise OpenPath("need at least 4 waypoints")
         if not np.array_equal(w[0], w[-1]):
@@ -66,19 +66,20 @@ def loop_work(k, path: LoopPath, tolerance: float = PASSIVE_TOLERANCE) -> Energy
     Trapezoidal quadrature per segment, which is exact for the linear field
     along straight segments; only the polygonal approximation of a curved
     orbit contributes error.  audit_stiffness does not call it: this is the
-    general-path quadrature that checks the closed form.
+    general-path quadrature that checks the closed form.  A non-finite or
+    overflowing work raises NonFinite.
     """
-    k = np.asarray(k, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise NotSquare(f"expected square matrix, got shape {k.shape}")
+    k = as_array(k, "stiffness matrix", "square", finite=False)  # non-finite: NonFinite below
     w = path.waypoints
     if k.shape[0] != w.shape[1]:
         raise DimensionMismatch(
             f"matrix is {k.shape[0]}x{k.shape[0]} but path has dimension {w.shape[1]}"
         )
-    forces = w @ k.T
-    deltas = np.diff(w, axis=0)
-    net = float(np.sum(0.5 * (forces[:-1] + forces[1:]) * deltas))
+    with np.errstate(over="ignore", invalid="ignore"):  # the NonFinite case below
+        forces = w @ k.T
+        net = float(np.sum(0.5 * (forces[:-1] + forces[1:]) * np.diff(w, axis=0)))
+    if not math.isfinite(net):
+        raise NonFinite(f"loop work is not finite: {net}")
     return EnergyAudit(net, abs(net) <= tolerance)
 
 
@@ -99,11 +100,7 @@ def audit_stiffness(k, radius: float = 1.0, segments: int = 3600,
     the general-path oracle.  Non-finite entries, and finite ones whose
     work overflows, raise NonFinite.
     """
-    k = np.asarray(k, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise NotSquare(f"expected square matrix, got shape {k.shape}")
-    if not np.isfinite(k).all():
-        raise NonFinite("stiffness matrix has non-finite entries")
+    k = as_array(k, "stiffness matrix", "square")
     if segments < 3:
         raise OpenPath("need at least 3 segments")
     area = 0.5 * segments * radius * radius * np.sin(2.0 * np.pi / segments)

@@ -20,21 +20,14 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import se3
-from .connection import Frame
-from .errors import (
-    DimensionMismatch,
-    NonFinite,
-    NonPositiveDefinite,
-    SchemaError,
-    ValidationError,
-)
+from .connection import Frame, check_frame
+from .errors import NonPositiveDefinite, SchemaError, ValidationError, as_array
 
 _POSE_KEYS = {"rotation", "translation"}
 _JOINT_KEYS = {"axis", "kind", "home", "limits"}
@@ -200,21 +193,6 @@ def bundled_model(name: str) -> RobotModel:
     return load_model(res.read_text(encoding="utf-8"))
 
 
-def _check_dim(model: RobotModel, q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if q.shape != (model.n,):
-        raise DimensionMismatch(f"expected q of length {model.n}, got shape {q.shape}")
-    _require_finite("q", q)
-    return q
-
-
-def _require_finite(name: str, x: np.ndarray) -> None:
-    """Raise NonFinite unless every entry of the array x is finite."""
-    # a finite sum means finite entries, and is the cheaper test on small arrays
-    if not math.isfinite(sum(x.ravel().tolist())) and not np.isfinite(x).all():
-        raise NonFinite(f"{name} must be finite, got {x.tolist()}")
-
-
 def _spatial_inertia(link: Link) -> np.ndarray:
     """6x6 spatial inertia in the link frame, linear-first ordering."""
     ch = se3.skew(link.com)
@@ -268,7 +246,7 @@ def _frames(model: RobotModel, q) -> np.ndarray:
     """The poses T_01 .. T_0n, T_ee as one (n + 1, 4, 4) array: one batched
     product gives every home_i exp(axis_i q_i), and the chain is a prefix
     product in log2(n + 1) batched steps."""
-    q = _check_dim(model, q)
+    q = as_array(q, "q", (model.n,))
     sd, n = model._static, model.n
     coef = sd.factors.copy()
     coef[:n, 1] = q
@@ -284,7 +262,8 @@ def _frames(model: RobotModel, q) -> np.ndarray:
 
 class _Jacobians(NamedTuple):
     frames: np.ndarray        # (n+1,4,4): T_01 .. T_0n, T_ee
-    screws_seen: np.ndarray   # (n+1,6,n): Ad(T^-1) S for each pose T in frames
+    ad_inv: np.ndarray        # (n+1,6,6): Ad(T^-1) for each pose T in frames
+    screws: np.ndarray        # 6xn: the spatial screws S
     jacobian: np.ndarray      # 6xn, requested frame
 
 
@@ -297,20 +276,18 @@ def _hybrid_rotation(r_ee) -> np.ndarray:
 
 def _in_frame(screws, jb, r_ee, frame: Frame) -> np.ndarray:
     """The Jacobian in frame from the spatial screws and the body Jacobian."""
-    if frame == Frame.INERTIAL:
+    if check_frame(frame) == Frame.INERTIAL:
         return screws
     if frame == Frame.BODY:
         return jb
-    if frame == Frame.HYBRID:
-        return _hybrid_rotation(r_ee) @ jb
-    raise ValidationError(f"frame must be a Frame, got {frame!r}")
+    return _hybrid_rotation(r_ee) @ jb
 
 
 def _jacobians(model: RobotModel, q, frame: Frame) -> _Jacobians:
-    """The spatial screws s_i = Ad(T_0i) axis_i (Ad(exp(axis q)) axis = axis)
-    seen from every link and the end effector, and the Jacobian in frame.
-    The body Jacobian is Ad(T_ee^-1) S; that of link k is Ad(T_0k^-1) S
-    restricted to joints up to k."""
+    """The spatial screws S, s_i = Ad(T_0i) axis_i (Ad(exp(axis q)) axis =
+    axis), Ad(T^-1) of every link pose and of the end effector, and the
+    Jacobian in frame.  The body Jacobian is Ad(T_ee^-1) S; that of link k,
+    which only _mass forms, is Ad(T_0k^-1) S restricted to joints up to k."""
     frames = _frames(model, q)
     sd, n = model._static, model.n
     # Ad(T^-1) = [[R', (p^ R)'], [0, R']], and Ad(T) = [[R, p^ R], [0, R]]
@@ -321,8 +298,7 @@ def _jacobians(model: RobotModel, q, frame: Frame) -> _Jacobians:
     ad_inv[:, :3, :3] = ad_inv[:, 3:, 3:] = rot.transpose(0, 2, 1)
     ad_inv[:, :3, 3:] = p_hat_r.transpose(0, 2, 1)
     screws = (ad_inv[:n].transpose(0, 2, 1) @ sd.swapped_axes)[:, _SWAP, 0].T
-    seen = ad_inv @ screws
-    return _Jacobians(frames, seen, _in_frame(screws, seen[n], rot[n], frame))
+    return _Jacobians(frames, ad_inv, screws, _in_frame(screws, ad_inv[n] @ screws, rot[n], frame))
 
 
 def _mass(model: RobotModel, q, kin: _Jacobians) -> tuple:
@@ -333,7 +309,7 @@ def _mass(model: RobotModel, q, kin: _Jacobians) -> tuple:
     product of a matrix with its own transpose, which numpy computes as an
     exactly symmetric result."""
     sd, n = model._static, model.n
-    rooted = (sd.inertia_roots @ (kin.screws_seen[:n] * sd.link_mask)).reshape(6 * n, n)
+    rooted = (sd.inertia_roots @ ((kin.ad_inv[:n] @ kin.screws) * sd.link_mask)).reshape(6 * n, n)
     m = rooted.T @ rooted
     m_vals, m_vecs = np.linalg.eigh(m)
     if m_vals[0] < 1e-9:
@@ -370,12 +346,12 @@ def jacobian_transpose_derivative(model: RobotModel, q, frame: Frame) -> np.ndar
     builds this tensor (the stiffness contracts the wrench first); it is the
     tests' oracle for that contraction.
     """
-    kin = _jacobians(model, q, frame)
+    kin = _jacobians(model, q, Frame.BODY)
     lower = np.tril(np.ones((model.n, model.n)), k=-1)[:, None, :]  # [alpha, :, beta]
-    if frame == Frame.INERTIAL:
-        s = kin.jacobian
+    if check_frame(frame) == Frame.INERTIAL:
+        s = kin.screws
         return ((s.T @ _AD_BASIS).reshape(-1, 6, 6) @ s) * lower.transpose(2, 1, 0)
-    jb = kin.screws_seen[-1]
+    jb = kin.jacobian
     d_body = -((jb.T @ _AD_BASIS).reshape(-1, 6, 6) @ jb) * lower
     if frame == Frame.BODY:
         return d_body

@@ -8,6 +8,8 @@ pair with twists componentwise, so entries 1-3 are force (N) and 4-6 moment
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import IndexOutOfRange
@@ -40,9 +42,15 @@ STRUCTURE_CONSTANTS = _build_structure_constants()
 STRUCTURE_CONSTANTS.setflags(write=False)
 
 
+def table_index(names: str, *indices) -> tuple:
+    """0-based position in a (6, 6, 6) table of 1-based indices, each named
+    by a letter of names: IndexOutOfRange unless each is an integer in 1..6."""
+    for name, idx in zip(names, indices):
+        if not (isinstance(idx, numbers.Integral) and 1 <= idx <= 6):
+            raise IndexOutOfRange(f"index {name}={idx!r} is not an integer in 1..6")
+    return tuple(idx - 1 for idx in indices)
+
+
 def structure_constant(k: int, i: int, j: int) -> float:
     """Structure constant C^k_ij of se(3); indices are 1-based."""
-    for name, idx in (("k", k), ("i", i), ("j", j)):
-        if not 1 <= idx <= 6:
-            raise IndexOutOfRange(f"index {name}={idx} outside 1..6")
-    return float(STRUCTURE_CONSTANTS[k - 1, i - 1, j - 1])
+    return float(STRUCTURE_CONSTANTS[table_index("kij", k, i, j)])

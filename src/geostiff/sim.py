@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,8 @@ from . import robot as robot_mod
 from . import se3
 from . import stiffness as st
 from .connection import Frame
-from .errors import (
-    DimensionMismatch,
-    GeostiffError,
-    IntegrationDiverged,
-    NegativeEigenvalue,
-    NonPositiveDefinite,
-    ValidationError,
-)
+from .errors import (DimensionMismatch, GeostiffError, IntegrationDiverged, NegativeEigenvalue,
+                     NonFinite, NonPositiveDefinite, ValidationError, as_array)
 
 DIVERGENCE_SPEED = 1e3  # rad/s
 _DIAGNOSTIC_CHUNK = 1024  # steps per batched eigvalsh of the logged sigma columns
@@ -50,12 +45,17 @@ class ControllerConfig:
     rate: float  # Hz
 
     def __post_init__(self):
-        if not 0.0 < self.damping_ratio <= 2.0:
-            raise ValidationError("damping_ratio must be in (0, 2]")
-        if not 100.0 <= self.rate <= 10000.0:
-            raise ValidationError("rate must be in [100, 10000] Hz")
+        _check_damping_ratio(self.damping_ratio)
+        if not (isinstance(self.rate, numbers.Real) and 100.0 <= self.rate <= 10000.0):
+            raise ValidationError(f"rate must be in [100, 10000] Hz, got {self.rate!r}")
         if self.task_hessian.frame != self.frame:
             raise ValidationError("task_hessian frame must match controller frame")
+
+
+def _check_damping_ratio(zeta) -> None:
+    """ValidationError unless the damping ratio zeta is a number in (0, 2]."""
+    if not (isinstance(zeta, numbers.Real) and 0.0 < zeta <= 2.0):
+        raise ValidationError(f"damping_ratio must be in (0, 2], got {zeta!r}")
 
 
 class _SampledPath:
@@ -75,11 +75,8 @@ class _SampledPath:
 
     def evaluate(self, t) -> np.ndarray:
         """Interpolated sample at time t; t may also be an array of times."""
-        out = np.stack([
-            np.interp(t, self.times, self.values[:, c])
-            for c in range(self.values.shape[1])
-        ], axis=-1)
-        return out
+        return np.stack([np.interp(t, self.times, self.values[:, c])
+                         for c in range(self.values.shape[1])], axis=-1)
 
     @classmethod
     def from_csv(cls, path):
@@ -174,26 +171,30 @@ def _write_csv(path, header, data):
 def design_damping(k_joint, m_inertia, damping_ratio: float) -> np.ndarray:
     """Double-diagonalization damping: B = 2 zeta M^1/2 (M^-1/2 K M^-1/2)^1/2 M^1/2.
 
-    M and K must be finite (NonFinite) and M must be SPD (NonPositiveDefinite);
-    M is checked first, so a bad M wins over a bad K.  Then this is the
-    simulator step's own design, _damping_from_factor, with its PSD rule for
-    the symmetric part of K (NegativeEigenvalue below -1e-9; smaller
-    negative eigenvalues are clamped to zero), and B = 2 zeta Z Z^T with
-    Z = M X diag(mu)^1/4.
+    K and M must be square matrices of one size (DimensionMismatch), finite
+    (NonFinite, M checked first) and M SPD (NonPositiveDefinite).  Then this
+    is the simulator step's own design, _damping_from_factor, with its PSD
+    rule for the symmetric part of K (NegativeEigenvalue below -1e-9),
+    B = 2 zeta Z Z^T with Z = M X diag(mu)^1/4, zeta in (0, 2] as for
+    ControllerConfig (ValidationError), and NonFinite if B overflows.
     """
-    k = np.asarray(k_joint, dtype=float)
-    m = np.asarray(m_inertia, dtype=float)
-    if k.shape != m.shape or k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise DimensionMismatch("stiffness and inertia must be square and same size")
-    robot_mod._require_finite("inertia", m)
-    robot_mod._require_finite("stiffness", k)
-    m_sym = 0.5 * (m + m.T)
+    k = as_array(k_joint, "stiffness", (None, None), finite=False)
+    m = as_array(m_inertia, "inertia", (len(k), len(k)), finite=False)
+    k = as_array(k, "stiffness", m.shape, finite=False)
+    m, k = as_array(m, "inertia"), as_array(k, "stiffness")     # shapes first, then M first
+    m_sym = 0.5 * m + 0.5 * m.T     # no overflow for entries near the float limit
     m_vals, m_vecs = np.linalg.eigh(m_sym)
-    if m_vals[0] <= 0:
+    if min(m_vals, default=0.0) <= 0:     # an empty M has no positive eigenvalue
         raise NonPositiveDefinite("inertia matrix must be positive definite")
-    x, mu = _damping_from_factor(0.5 * (k + k.T), m_vals, m_vecs)
-    z = (m_sym @ x) * mu ** 0.25
-    return (2.0 * damping_ratio) * (z @ z.T)
+    with np.errstate(over="ignore", invalid="ignore"):      # an overflow is NonFinite
+        try:
+            x, mu = _damping_from_factor(0.5 * k + 0.5 * k.T, m_vals, m_vecs)
+        except np.linalg.LinAlgError as exc:
+            raise NonFinite(f"damping has no finite design: {exc}") from None
+        _check_damping_ratio(damping_ratio)
+        z = (m_sym @ x) * mu ** 0.25
+        b = (2.0 * damping_ratio) * (z @ z.T)
+    return as_array(b, "damping")
 
 
 def _check_psd(k_min: float) -> None:
@@ -281,10 +282,8 @@ def simulate(model, controller: ControllerConfig, q0_trajectory: JointPath,
 
     if q_init is None:
         q = q0_samples[0].copy()
-    else:
-        q = np.asarray(q_init, dtype=float).copy()
-        if q.shape != (n,):
-            raise DimensionMismatch(f"q_init must have {n} components")
+    else:       # a non-finite q_init is reported by step 0
+        q = as_array(q_init, "q_init", (n,), finite=False).copy()
     qd = np.zeros(n)
     out_q = np.empty((steps, n))
     out_qd = np.empty((steps, n))

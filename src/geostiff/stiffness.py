@@ -34,8 +34,8 @@ import numpy as np
 from . import robot as robot_mod
 from . import se3
 # correction_matrix stays importable from here, where perfbench/tracing.py wraps it
-from .connection import Frame, christoffel_table, correction_matrix  # noqa: F401
-from .errors import DimensionMismatch, FrameMismatch, NonFinite, NotSquare, ValidationError
+from .connection import Frame, check_frame, christoffel_table, correction_matrix  # noqa: F401
+from .errors import DimensionMismatch, FrameMismatch, NonFinite, as_array
 
 _TINY = float(np.finfo(float).tiny)     # the scale of a zero matrix in _sigma_max
 
@@ -73,22 +73,23 @@ class TaskStiffness:
     frame: Frame
 
     def __post_init__(self):
-        h = np.asarray(self.hessian, dtype=float)
-        if h.shape != (6, 6):
-            raise DimensionMismatch(f"task stiffness must be 6x6, got {h.shape}")
-        # Frobenius norm in Python floats, whose overflow gives inf, not a warning
+        h = as_array(self.hessian, "task stiffness", (6, 6), finite=False)
+        # Frobenius norm in Python floats, whose overflow gives inf, not a
+        # warning; it is finite only if every entry is, so it is the one scan
         flat = h.ravel().tolist()
         scale = math.sqrt(sum(map(operator.mul, flat, flat)))
         if not math.isfinite(scale):
             raise NonFinite(f"task stiffness must be finite, its norm is {scale}")
-        if np.linalg.norm(h - h.T) > 1e-9 * max(1.0, scale):
+        asym = (h - h.T).ravel() / max(1.0, scale)     # in units of the norm: no overflow
+        if math.sqrt(asym.dot(asym)) > 1e-9:
             raise DimensionMismatch("task stiffness must be symmetric")
+        check_frame(self.frame)
         object.__setattr__(self, "hessian", h)
 
     @staticmethod
     def from_numbers(values, frame: Frame) -> "TaskStiffness":
         """Spring from 6 numbers (the diagonal) or 36 (the matrix, row-major)."""
-        v = np.asarray(values, dtype=float).ravel()
+        v = as_array(values, "task stiffness", finite=False).ravel()
         if v.size == 6:
             return TaskStiffness(np.diag(v), frame)
         if v.size == 36:
@@ -99,8 +100,9 @@ class TaskStiffness:
     @staticmethod
     def diagonal(k_translation: float, k_rotation: float, frame: Frame) -> "TaskStiffness":
         """Block-diagonal spring diag(k_t I3, k_r I3)."""
-        h = np.diag([k_translation] * 3 + [k_rotation] * 3).astype(float)
-        return TaskStiffness(h, frame)
+        diag = as_array([k_translation] * 3 + [k_rotation] * 3, "task stiffness", (6,),
+                        finite=False)
+        return TaskStiffness(np.diag(diag), frame)
 
 
 @dataclass(frozen=True)
@@ -117,12 +119,19 @@ class SymmetryReport:
 
 def kinematic_stiffness(model, q, wrench, frame: Frame) -> np.ndarray:
     """Configuration-dependence of the torque map: columns dJ^T/dq_j * F."""
-    f = np.asarray(wrench, dtype=float)
-    if f.shape != (6,):
-        raise DimensionMismatch(f"wrench must have 6 components, got {f.shape}")
-    robot_mod._require_finite("wrench", f)
-    jac = robot_mod._jacobians(model, q, frame).jacobian
-    return assemble_joint_stiffness(jac, np.zeros((6, 6)), f, frame, False)
+    return _stiffness_at(model, q, np.zeros((6, 6)), wrench, frame, False)
+
+
+@np.errstate(over="raise")      # as a decorator, errstate costs half as much per call
+def _stiffness_at(model, q, hessian_matrix, wrench, frame, with_correction) -> np.ndarray:
+    """assemble_joint_stiffness at q, or NonFinite where it overflows: with
+    finite inputs, an overflow is the only way to a non-finite result."""
+    f = as_array(wrench, "wrench", (6,))
+    try:
+        jac = robot_mod._jacobians(model, q, frame).jacobian     # no mass matrix needed
+        return assemble_joint_stiffness(jac, hessian_matrix, f, frame, with_correction)
+    except FloatingPointError as exc:
+        raise NonFinite(f"joint stiffness overflows: {exc}") from None
 
 
 def assemble_joint_stiffness(jac, hessian_matrix, wrench, frame: Frame,
@@ -130,10 +139,7 @@ def assemble_joint_stiffness(jac, hessian_matrix, wrench, frame: Frame,
     """dtau/dq from the Jacobian in frame, the task Hessian and the wrench:
     J^T (H + Gamma F + kappa_f(F)) J + s_f tri_f(J^T W(F) J)."""
     f = np.asarray(wrench, dtype=float)
-    try:
-        table = _CONTRACTIONS[frame, bool(with_correction)]
-    except (KeyError, TypeError):       # unknown or unhashable
-        raise ValidationError(f"frame must be a Frame, got {frame!r}") from None
+    table = _CONTRACTIONS[check_frame(frame), bool(with_correction)]
     stack = (f @ table).reshape(2, 6, 6)
     stack[0] += hessian_matrix
     task, bracket = jac.T @ stack @ jac
@@ -148,30 +154,17 @@ def joint_stiffness(model, q, hessian: TaskStiffness, wrench, frame: Frame,
     symmetric; without it (the conventional baseline) the Gamma F term is
     dropped and moments leave an antisymmetric residue.
     """
-    if hessian.frame != frame:
-        raise FrameMismatch(
-            f"task stiffness is {hessian.frame.value}, requested frame {frame.value}"
-        )
-    f = np.asarray(wrench, dtype=float)
-    if f.shape != (6,):
-        raise DimensionMismatch(f"wrench must have 6 components, got {f.shape}")
-    robot_mod._require_finite("wrench", f)
-    jac = robot_mod._jacobians(model, q, frame).jacobian     # no mass matrix needed
-    return JointStiffness(assemble_joint_stiffness(jac, hessian.hessian, f, frame,
-                                                   with_correction))
-
-
-def _square(m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquare(f"expected square matrix, got shape {m.shape}")
-    return m
+    if hessian.frame != check_frame(frame):
+        raise FrameMismatch(f"task stiffness is {hessian.frame.value}, "
+                            f"requested frame {frame.value}")
+    return JointStiffness(_stiffness_at(model, q, hessian.hessian, wrench, frame,
+                                        with_correction))
 
 
 def symmetry_decompose(m) -> tuple:
     """Split a square matrix into (symmetric, antisymmetric) parts."""
-    m = _square(m)
-    sym = 0.5 * (m + m.T)
+    m = as_array(m, "matrix", "square")
+    sym = 0.5 * m + 0.5 * m.T       # no overflow for entries near the float limit
     return sym, m - sym
 
 
@@ -182,18 +175,21 @@ def symmetry_report(m) -> SymmetryReport:
     come from _sigma_max, here on a stack of one matrix.  Raises NonFinite
     for a non-finite matrix, or when sigma itself overflows the float range.
     """
-    m = _square(m)
+    m = as_array(m, "matrix", "square")
     if m.size == 0:
         return SymmetryReport(0.0, 0.0, 0.0)
-    robot_mod._require_finite("matrix", m)
-    try:
-        peak, s_sym, s_asym = (float(s[0]) for s in _sigma_max(m[None]))
-    except np.linalg.LinAlgError as exc:
-        raise NonFinite(f"sigma_max has no solution for this matrix: {exc}") from exc
+    peak, s_sym, s_asym = (float(s[0]) for s in _sigma_max(m[None]))
     s_sym, s_asym = peak * s_sym, peak * s_asym     # floats: inf, not a warning
     if not math.isfinite(s_sym + s_asym):
         raise NonFinite(f"sigma_max overflows for this matrix: {s_sym}, {s_asym}")
-    return SymmetryReport(s_sym, s_asym, s_asym / max(s_sym, 1e-12))
+    return SymmetryReport(s_sym, s_asym, _asym_ratio(s_sym, s_asym))
+
+
+def _asym_ratio(sigma_sym: float, sigma_asym: float) -> float:
+    """sigma_asym / sigma_sym, the denominator floored at 1e-12 of the
+    matrix's own scale max(sigma_sym, sigma_asym): c K has the ratio of K
+    for every c > 0, a zero matrix has 0 and an antisymmetric one 1e12."""
+    return sigma_asym / max(sigma_sym, 1e-12 * sigma_asym, _TINY)
 
 
 def _sigma_max(stack) -> tuple:

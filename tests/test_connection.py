@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geostiff import robot, se3
+from geostiff import robot, se3, stiffness as st
 from geostiff.connection import Frame, christoffel, christoffel_table, correction_matrix
 from geostiff.errors import DimensionMismatch, IndexOutOfRange, ValidationError
 
@@ -80,6 +80,17 @@ class TestChristoffelTable:
         with pytest.raises(IndexOutOfRange):
             christoffel(Frame.BODY, 0, 1, 1)
 
+    @pytest.mark.parametrize("index", [1.5, 2.0, "1", None])
+    def test_non_integer_index_rejected(self, index):
+        # a string once raised a bare TypeError, a float a bare IndexError
+        with pytest.raises(IndexOutOfRange):
+            christoffel(Frame.BODY, 1, index, 1)
+        with pytest.raises(IndexOutOfRange):
+            se3.structure_constant(index, 1, 1)
+        # the index rule runs before the frame check
+        with pytest.raises(IndexOutOfRange):
+            christoffel("body", index, 1, 1)
+
 
 class TestCorrectionMatrix:
     def test_zero_wrench(self):
@@ -143,7 +154,10 @@ class TestFrameParse:
     lambda frame: christoffel(frame, 1, 1, 1),
     lambda frame: correction_matrix(frame, np.zeros(6)),
     lambda frame: robot.jacobian(robot.bundled_model("anthro3r"), np.zeros(3), frame),
-], ids=["christoffel_table", "christoffel", "correction_matrix", "jacobian"])
+    lambda frame: st.TaskStiffness(np.eye(6), frame),
+    lambda frame: st.assemble_joint_stiffness(np.eye(6), np.eye(6), np.zeros(6), frame, True),
+], ids=["christoffel_table", "christoffel", "correction_matrix", "jacobian", "TaskStiffness",
+        "assemble_joint_stiffness"])
 def test_non_frame_raises_validation_error(lookup, frame):
     with pytest.raises(ValidationError, match="frame must be a Frame"):
         lookup(frame)

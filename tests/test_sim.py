@@ -44,6 +44,13 @@ class TestControllerConfig:
         with pytest.raises(ValidationError):
             body_controller(rate=50.0)
 
+    @pytest.mark.parametrize("zeta, rate", [("1", 1000.0), (None, 1000.0), (1.0, "1000"),
+                                            (1.0, None), (np.nan, 1000.0), (1.0, np.nan)])
+    def test_rejects_non_numbers(self, zeta, rate):
+        # a string once raised a bare TypeError
+        with pytest.raises(ValidationError):
+            body_controller(zeta=zeta, rate=rate)
+
     def test_rejects_frame_mismatch(self):
         hessian = st.TaskStiffness.diagonal(100.0, 10.0, Frame.HYBRID)
         with pytest.raises(ValidationError):
@@ -135,6 +142,17 @@ class TestDesignDamping:
     def test_rejects_indefinite_inertia(self):
         with pytest.raises(NonPositiveDefinite):
             sim.design_damping(np.eye(2), np.diag([1.0, 0.0]), 1.0)
+
+    @pytest.mark.parametrize("zeta", [np.nan, -1.0, 0.0, 2.5, np.inf, "1", None])
+    def test_rejects_bad_damping_ratio(self, zeta):
+        # the rule of ControllerConfig; NaN once gave a NaN B, -1 a
+        # negative-definite one
+        with pytest.raises(ValidationError, match="damping_ratio"):
+            sim.design_damping(np.eye(2), np.eye(2), zeta)
+
+    def test_overflowing_design_raises_non_finite(self):
+        with pytest.raises(NonFinite):
+            sim.design_damping(np.diag([1e308, 1.0]), np.diag([1e-300, 1.0]), 1.0)
 
     @pytest.mark.parametrize("bad_k, bad_m", [(True, False), (False, True), (True, True)])
     def test_rejects_non_finite_input(self, bad_k, bad_m):

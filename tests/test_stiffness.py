@@ -126,6 +126,69 @@ class TestJointStiffness:
             expected = np.array([[0, a, a], [a, 0, 0], [a, 0, 0]])
             assert np.abs(result.matrix - expected).max() < 1e-12
 
+    @pytest.mark.parametrize("frame", [Frame.BODY, Frame.HYBRID, Frame.INERTIAL])
+    def test_baseline_antisymmetry_closed_form(self, anthro3r, iiwa7, frame):
+        # the corrected K is symmetric and differs from the baseline by
+        # J^T Gamma F J, so antisym(K_baseline) = -J^T antisym(Gamma F) J
+        rng = np.random.default_rng(2801)
+        for model in (anthro3r, iiwa7):
+            for _ in range(20):
+                q, f = random_q(rng, model), rng.normal(scale=5.0, size=6)
+                spring = st.TaskStiffness(random_psd_hessian(rng), frame)
+                k = st.joint_stiffness(model, q, spring, f, frame, with_correction=False).matrix
+                jac = robot.jacobian(model, q, frame)
+                gamma_f = correction_matrix(frame, f)
+                expected = -jac.T @ (0.5 * (gamma_f - gamma_f.T)) @ jac
+                assert np.abs(0.5 * (k - k.T) - expected).max() <= 1e-14 * np.abs(k).max()
+
+    def test_anthro3r_hybrid_baseline_antisymmetry(self, anthro3r):
+        # at any q, with any force and spring: a [[0, -1, -1], [1, 0, 0], [1, 0, 0]],
+        # a = (m1 cos q1 + m2 sin q1) / 2
+        rng = np.random.default_rng(2802)
+        pattern = np.array([[0.0, -1.0, -1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        for _ in range(50):
+            q, f = rng.uniform(-np.pi, np.pi, 3), rng.normal(scale=5.0, size=6)
+            spring = st.TaskStiffness(random_psd_hessian(rng), Frame.HYBRID)
+            k = st.joint_stiffness(anthro3r, q, spring, f, Frame.HYBRID, False).matrix
+            a = 0.5 * (f[3] * np.cos(q[0]) + f[4] * np.sin(q[0]))
+            assert np.abs(0.5 * (k - k.T) - a * pattern).max() <= 1e-14 * np.abs(k).max()
+
+    # anthro3r HYBRID baselines of the benchmark's cli workload (seed, op)
+    # whose a is nearly 0: correct, yet symmetric to an asym ratio below 1e-6
+    @pytest.mark.parametrize("q, wrench, diagonal", [
+        pytest.param([-0.4772434173009459, 0.2780394083368338, -0.44247898983888145],
+                     [-7.602915569028381, 14.046969101849287, -3.0392789059137026,
+                      1.29343693719805, 2.5020604560363067, -7.400609589510995],
+                     [481.1834998537935, 195.48675945576673, 225.37734138721052,
+                      582.9066280598663, 547.9092535004396, 453.90337909534423],
+                     id="seed101-op6682"),
+        pytest.param([-0.04355707097328243, 1.367005195984841, 1.3228910010146864],
+                     [5.252745183837776, -3.965647403742259, 8.670900024674646,
+                      -0.23221601083371674, -5.333269272553075, 2.5227154168674555],
+                     [446.7473413411294, 223.7259564328804, 496.38204094384275,
+                      809.1805204095076, 180.492067814478, 897.8710961509416],
+                     id="seed103-op7775"),
+        pytest.param([0.7022793345979981, 0.7728383989575187, -0.07828672976780093],
+                     [8.749554047919613, 1.14708819170235, 5.1953343771805685,
+                      -0.7897189581832356, 0.9351360156142524, 2.6832246387149983],
+                     [564.3582836203198, 489.5009434843703, 681.8776638999017,
+                      846.4657045187058, 794.2269688386327, 808.1757521625849],
+                     id="seed2607-op4148"),
+        pytest.param([-0.9926943730902101, 0.5231251157167103, 0.2927717562109682],
+                     [9.065446019604414, 12.480432434397935, -14.034731652933443,
+                      0.09404077487140897, 0.05944929681746902, -5.70606302923363],
+                     [770.9424230907193, 191.01550861667573, 222.36029103803222,
+                      947.7223335781945, 394.0961588977419, 879.3088549748461],
+                     id="seed805-op22002"),
+    ])
+    def test_benchmark_near_symmetric_baselines(self, anthro3r, q, wrench, diagonal):
+        spring = st.TaskStiffness.from_numbers(diagonal, Frame.HYBRID)
+        k = st.joint_stiffness(anthro3r, q, spring, wrench, Frame.HYBRID, False).matrix
+        a = 0.5 * (wrench[3] * np.cos(q[0]) + wrench[4] * np.sin(q[0]))
+        expected = a * np.array([[0.0, -1.0, -1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert np.abs(0.5 * (k - k.T) - expected).max() <= 1e-14 * np.abs(k).max()
+        assert st.symmetry_report(k).asym_ratio < 1e-6
+
     def test_anthro3r_baseline_closed_form(self, anthro3r):
         hessian = st.TaskStiffness(np.zeros((6, 6)), Frame.HYBRID)
         result = st.joint_stiffness(anthro3r, np.zeros(3), hessian,
@@ -265,8 +328,17 @@ class TestSymmetryTools:
                 np.linalg.svd(asym, compute_uv=False)[0], rel=1e-12)
 
     def test_ratio_uses_epsilon_floor(self):
-        r = st.symmetry_report(np.zeros((3, 3)))
-        assert r.asym_ratio == 0.0
+        # the floor is 1e-12 of the matrix's own scale, so the ratio does not
+        # depend on the units of K; an absolute 1e-12 floor once reported
+        # 1e-188 for the strongly asymmetric 1e-200 matrix below
+        assert st.symmetry_report(np.zeros((3, 3))).asym_ratio == 0.0
+        assert st.symmetry_report([[0.0, 2.0], [-2.0, 0.0]]).asym_ratio == 1e12
+        for k in ([[1.0, 2.0], [0.0, 0.1]], [[0.0, 1.0], [-1.0, 1e-20]]):
+            ratio = st.symmetry_report(k).asym_ratio
+            for c in (1e-200, 1e-100, 1e-12, 3.7, 1e100, 1e200):
+                assert st.symmetry_report(np.multiply(c, k)).asym_ratio == pytest.approx(
+                    ratio, rel=1e-14)
+        assert st.symmetry_report([[1e-200, 2e-200], [0.0, 1e-201]]).asym_ratio > 0.5
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_report_rejects_non_finite(self, bad):
